@@ -9,7 +9,9 @@ implementations:
 ``numpy``
     The always-available reference (the original vectorized kernel,
     relocated).  Bit-identical to pre-backend releases for matched
-    seeds.
+    seeds.  Where a C compiler is available its events run in a
+    compiled replay of the same loop, bit for bit; the loop runs
+    otherwise.
 ``numba``
     JIT-compiled calendar-queue kernels, ``prange``-parallel over batch
     lanes.  Optional dependency (``pip install repro[backends]``);

@@ -7,6 +7,22 @@ stream in exactly the order the pre-backend ``run_batch`` did, so every
 seeded artefact (golden snapshots, Tables II/III, Figure sweeps) is
 bit-identical to earlier revisions.
 
+The loop's per-event numpy overhead dominates at paper shapes, so the
+same events also run compiled: ``repro_numpy_chunk`` (in the cnative C
+source, built and loaded by
+:func:`~repro.backends.cnative_backend.load_kernels`) replays the loop
+bit for bit.  Uniform blocks are still drawn here with
+``rng.random(block_size)``; the kernel hands control back whenever the
+next event would overrun the block, and a fresh block is drawn exactly
+where the loop draws it.  The tail's ``rng.integers(0, bound)`` draws
+call the Generator's own bit generator through numpy's public
+``bit_generator.ctypes`` interface, under ``bit_generator.lock``, with
+numpy's unmasked Lemire rule for bounds below ``2**32``.  The loop stays
+as the reference the tests pin the kernel to, and runs when the kernel
+cannot be had (no compiler, an unsafe cache directory, a failed build
+or load) or when a batch's largest bound ``W << max_stage`` reaches
+``2**32``, past which numpy draws with its 64-bit rule.
+
 The fixed point is *not* implemented here: the numpy solve path lives in
 :mod:`repro.bianchi.batched` (Anderson acceleration plus Newton
 fallback) and is what every other backend is pinned against.
@@ -14,32 +30,57 @@ fallback) and is what every other backend is pinned against.
 
 from __future__ import annotations
 
+import ctypes
+from typing import Optional
+
 import numpy as np
 
-from repro.typealiases import IntArray
+from repro.typealiases import FloatArray, IntArray
+from repro.errors import BackendError
 from repro.backends.base import (
     COUNTER_UNSET,
     ComputeBackend,
     SeedLike,
     SimChunkState,
 )
+from repro.backends.cnative_backend import LazyKernels
 
 __all__ = ["NumpyBackend"]
 
+#: The compiled replay draws ``Generator.integers(0, bound)`` only for
+#: ``bound`` below this; numpy switches to its 64-bit rule at ``2**32``.
+_REPLAY_BOUND_LIMIT = 1 << 32
+
 
 class NumpyBackend(ComputeBackend):
-    """The always-available reference backend (pure numpy)."""
+    """The always-available reference backend (numpy loop or its replay)."""
 
     name = "numpy"
     deterministic = True
     matches_numpy = True
     supports_fixed_point = False
 
+    def __init__(self) -> None:
+        self._kernels = LazyKernels()
+
     def availability_note(self) -> str:
-        return "always available (reference)"
+        if self._kernels.get() is not None:
+            return "always available (reference); compiled kernel in use"
+        return (
+            "always available (reference); numpy loop in use: "
+            f"{self._kernels.error}"
+        )
 
     def init_sim_rng(self, seed: SeedLike, batch: int) -> object:
         return np.random.default_rng(seed)
+
+    def _compiled_for(
+        self, windows: IntArray, max_stage: int
+    ) -> Optional[ctypes.CDLL]:
+        """The compiled replay when it can run this batch, else ``None``."""
+        if int(windows.max()) << max_stage >= _REPLAY_BOUND_LIMIT:
+            return None
+        return self._kernels.get()
 
     def sim_chunk(
         self,
@@ -51,16 +92,84 @@ class NumpyBackend(ComputeBackend):
         rng = state.rng
         assert isinstance(rng, np.random.Generator)
         batch, n_nodes = windows.shape
+        if state.counter[0, 0] == COUNTER_UNSET:
+            # First chunk: one vectorized uniform draw per node, exactly
+            # the initial-backoff draw of the pre-backend kernel.
+            state.counter[...] = rng.integers(0, windows, dtype=np.int64)
+
+        # Backoff redraws consume one pre-drawn block of uniforms at a
+        # time; ``floor(u * bound)`` on float64 uniforms is uniform on
+        # ``{0, ..., bound-1}`` up to O(bound / 2^53) bias - immaterial
+        # next to the Monte-Carlo noise of any finite run.
+        block_size = max(1 << 16, 4 * batch * n_nodes)
+        uniform_block = rng.random(block_size)
+        kernel = self._compiled_for(windows, max_stage)
+        if kernel is None:
+            self._sim_loop(
+                rng, windows, max_stage, target_slots, state, uniform_block
+            )
+        else:
+            self._replay(
+                kernel, rng, windows, max_stage, target_slots, state,
+                uniform_block,
+            )
+
+    def _replay(
+        self,
+        kernel: ctypes.CDLL,
+        rng: np.random.Generator,
+        windows: IntArray,
+        max_stage: int,
+        target_slots: int,
+        state: SimChunkState,
+        uniform_block: FloatArray,
+    ) -> None:
+        """Run :meth:`_sim_loop`'s events in ``repro_numpy_chunk``."""
+        windows = np.ascontiguousarray(windows, dtype=np.int64)
+        batch, n_nodes = windows.shape
+        node_arrays = (
+            state.stage, state.counter, state.attempts, state.successes
+        )
+        lane_arrays = (state.busy_count, state.slots_done)
+        if any(a.shape != windows.shape for a in node_arrays) or any(
+            a.shape != (batch,) for a in lane_arrays
+        ):
+            raise BackendError(
+                "simulator state does not match the window matrix"
+            )
+        bit_generator = rng.bit_generator
+        interface = bit_generator.ctypes
+        scratch = np.empty(2 * batch, dtype=np.int64)
+        while True:
+            with bit_generator.lock:
+                refill = kernel.repro_numpy_chunk(
+                    windows, batch, n_nodes, max_stage, target_slots,
+                    *node_arrays, *lane_arrays,
+                    uniform_block, uniform_block.size, scratch,
+                    interface.state_address, interface.next_uint32,
+                )
+            if not refill:
+                return
+            uniform_block = rng.random(uniform_block.size)
+
+    def _sim_loop(
+        self,
+        rng: np.random.Generator,
+        windows: IntArray,
+        max_stage: int,
+        target_slots: int,
+        state: SimChunkState,
+        uniform_block: FloatArray,
+    ) -> None:
+        """The vectorized loop: the reference the compiled replay matches."""
+        batch, n_nodes = windows.shape
         stage = state.stage
         counter = state.counter
         attempts = state.attempts
         successes = state.successes
         slots_done = state.slots_done
-
-        if counter[0, 0] == COUNTER_UNSET:
-            # First chunk: one vectorized uniform draw per node, exactly
-            # the initial-backoff draw of the pre-backend kernel.
-            counter[...] = rng.integers(0, windows, dtype=np.int64)
+        block_size = uniform_block.size
+        block_pos = 0
 
         # Flat views share memory with the 2-D state; scatter updates for
         # the (few) transmitters per slot avoid full-array np.where
@@ -70,14 +179,6 @@ class NumpyBackend(ComputeBackend):
         window_flat = windows.ravel()
         attempts_flat = attempts.ravel()
         successes_flat = successes.ravel()
-
-        # Backoff redraws consume one pre-drawn block of uniforms at a
-        # time; ``floor(u * bound)`` on float64 uniforms is uniform on
-        # ``{0, ..., bound-1}`` up to O(bound / 2^53) bias - immaterial
-        # next to the Monte-Carlo noise of any finite run.
-        block_size = max(1 << 16, 4 * batch * n_nodes)
-        uniform_block = rng.random(block_size)
-        block_pos = 0
 
         # --------------------------------------------------------------
         # Fast path: every replica is mid-run, so no per-replica masking
@@ -121,8 +222,10 @@ class NumpyBackend(ComputeBackend):
 
         # --------------------------------------------------------------
         # Tail path: replicas finish at different events; mask the
-        # stragglers.  At most a handful of iterations for homogeneous
-        # slot budgets.
+        # stragglers.  Not a short epilogue: lanes on a window grid run
+        # at different event rates, so at Table II/III shapes 30-52% of
+        # all iterations land here (the fast path stops when the first
+        # lane runs out of slots).
         # --------------------------------------------------------------
         active = slots_done < target_slots
         while active.any():

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,13 @@ from repro.backends import (
     set_default_backend,
     use_backend,
 )
+from repro.backends.base import SimChunkState
+from repro.backends.cnative_backend import (
+    ENV_CACHE_DIR,
+    CNativeBackend,
+    _find_compiler,
+)
+from repro.backends.numpy_backend import NumpyBackend
 from repro.bianchi.batched import solve_heterogeneous_batch
 from repro.campaign.spec import spec_from_dict
 from repro.errors import BackendError, CampaignError
@@ -30,6 +42,10 @@ CALENDAR_NAMES = [
     if name in available_backends()
 ]
 ACCELERATED = [name for name in CALENDAR_NAMES if name != "python"]
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
+needs_compiler = pytest.mark.skipif(
+    _find_compiler() is None, reason="no C compiler"
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +55,18 @@ def params():
 
 @pytest.fixture(autouse=True)
 def _clean_default():
-    """Never leak a default-backend override between tests."""
+    """Never leak a default-backend override between tests.
+
+    The CLI's ``--backend`` also exports ``REPRO_BACKEND`` for worker
+    processes, so the variable is restored too.
+    """
+    saved = os.environ.pop(backends.ENV_BACKEND, None)
     set_default_backend(None)
     yield
     set_default_backend(None)
+    os.environ.pop(backends.ENV_BACKEND, None)
+    if saved is not None:
+        os.environ[backends.ENV_BACKEND] = saved
 
 
 class _Unavailable(ComputeBackend):
@@ -149,6 +173,208 @@ class TestNumpyReference:
             n_slots=1_000, seed=1, backend=get_backend("numpy"),
         )
         assert result.backend == "numpy"
+
+
+# ------------------------------------------------- compiled numpy replay
+class _LoopBackend(NumpyBackend):
+    """The numpy loop alone: the reference the compiled replay must match."""
+
+    name = "numpy-loop"
+
+    def _compiled_for(self, windows, max_stage):
+        return None
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    backend = NumpyBackend()
+    note = backend.availability_note()
+    if "compiled kernel in use" not in note:
+        pytest.skip(note)
+    return backend
+
+
+_RESULT_FIELDS = (
+    "attempts", "successes", "idle_slots", "success_slots",
+    "collision_slots", "elapsed_us",
+)
+_STATE_FIELDS = (
+    "stage", "counter", "attempts", "successes", "busy_count", "slots_done",
+)
+
+
+def _assert_same_batches(reference, candidate):
+    for field in _RESULT_FIELDS:
+        np.testing.assert_array_equal(
+            getattr(reference, field), getattr(candidate, field)
+        )
+    if reference.streaming is not None:
+        for name in ("tau", "collision", "throughput"):
+            mine = getattr(candidate.streaming, name)
+            theirs = getattr(reference.streaming, name)
+            np.testing.assert_array_equal(mine.mean, theirs.mean)
+            np.testing.assert_array_equal(mine.variance(), theirs.variance())
+
+
+def _run_chunks(backend, windows, max_stage, targets, seed):
+    """Drive ``sim_chunk`` directly; returns the state and the RNG state."""
+    windows = np.asarray(windows, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    state = SimChunkState.allocate(*windows.shape, rng)
+    for target in targets:
+        backend.sim_chunk(windows, max_stage, target, state)
+    return state, rng.bit_generator.state
+
+
+def _assert_same_chunks(compiled, windows, max_stage, targets, seed=0):
+    reference, reference_rng = _run_chunks(
+        _LoopBackend(), windows, max_stage, targets, seed
+    )
+    state, rng_state = _run_chunks(compiled, windows, max_stage, targets, seed)
+    for field in _STATE_FIELDS:
+        np.testing.assert_array_equal(
+            getattr(reference, field), getattr(state, field)
+        )
+    assert rng_state == reference_rng
+    return state
+
+
+class TestNumpyCompiled:
+    @pytest.mark.parametrize("mode", list(AccessMode))
+    @pytest.mark.parametrize("stats_interval", [None, 700])
+    def test_bit_identical_to_loop(self, compiled, params, mode, stats_interval):
+        windows = np.repeat([24, 32, 48, 64], 3)[:, np.newaxis].repeat(6, 1)
+        kwargs = dict(n_slots=6_000, seed=8, stats_interval=stats_interval)
+        _assert_same_batches(
+            run_batch(windows, params, mode, backend=_LoopBackend(), **kwargs),
+            run_batch(windows, params, mode, backend=compiled, **kwargs),
+        )
+
+    @pytest.mark.parametrize(
+        "make_seed",
+        [
+            lambda: 1234,
+            lambda: np.random.SeedSequence(99),
+            lambda: np.random.default_rng(5),
+        ],
+        ids=["int", "seed-sequence", "generator"],
+    )
+    def test_every_seed_kind(self, compiled, params, make_seed):
+        windows = [[16, 32, 64, 128]] * 3
+        seeds = [make_seed(), make_seed()]
+        runs = [
+            run_batch(
+                windows, params, AccessMode.BASIC,
+                n_slots=4_000, seed=seed, backend=backend,
+            )
+            for seed, backend in zip(seeds, (_LoopBackend(), compiled))
+        ]
+        _assert_same_batches(*runs)
+        if isinstance(seeds[0], np.random.Generator):
+            assert (
+                seeds[0].bit_generator.state == seeds[1].bit_generator.state
+            )
+
+    def test_bounds_near_2_31_exercise_lemire_rejection(self, compiled):
+        # Lane 1 (bound 2**31 + 1, about half of all 32-bit draws
+        # rejected) has twice the events of lane 0, so half of its
+        # redraws fall in the tail, where Generator.integers draws.
+        state = _assert_same_chunks(
+            compiled, [[2**32 - 1] * 2, [2**31 + 1] * 2], 0, [500 * 2**31]
+        )
+        tail_events = state.busy_count[1] - state.busy_count[0]
+        assert tail_events > 200
+
+    @pytest.mark.parametrize("max_stage", [0, 3])
+    def test_window_one_at_stage_zero_draws_nothing(self, compiled, max_stage):
+        _assert_same_chunks(compiled, [[1, 1, 5]], max_stage, [3_000])
+        _assert_same_chunks(compiled, [[1], [7]], max_stage, [2_000, 5_000])
+
+    @pytest.mark.parametrize(
+        "windows", [[[40]], [[16, 32, 48, 64, 80]], [[9], [30], [70]]],
+        ids=["batch-1-n-1", "batch-1", "n-1"],
+    )
+    def test_single_lane_and_single_node(self, compiled, params, windows):
+        kwargs = dict(n_slots=5_000, seed=21)
+        _assert_same_batches(
+            run_batch(windows, params, backend=_LoopBackend(), **kwargs),
+            run_batch(windows, params, backend=compiled, **kwargs),
+        )
+
+    def test_uniform_block_refills(self, compiled):
+        # Tiny windows make nearly every slot busy: ~16 uniforms per
+        # fast-path round against a 65,536-uniform block.
+        state = _assert_same_chunks(compiled, [[4] * 8] * 16, 5, [20_000])
+        assert state.attempts.sum() > 4 * (1 << 16)
+
+    def test_bounds_from_2_32_take_the_loop(self, compiled):
+        assert compiled._compiled_for(np.array([[2**31]]), 1) is None
+        assert compiled._compiled_for(np.array([[2**31 - 1]]), 1) is not None
+        _assert_same_chunks(
+            compiled, [[2**33 + 5] * 2, [2**32 + 1] * 2], 0, [300 * 2**32]
+        )
+
+    def test_import_builds_nothing(self, tmp_path):
+        cache = tmp_path / "cache"
+        env = dict(os.environ, PYTHONPATH=REPO_SRC, **{ENV_CACHE_DIR: str(cache)})
+        subprocess.run(
+            [sys.executable, "-c", "import repro.cli"],
+            env=env, check=True, timeout=120,
+        )
+        assert not cache.exists() or not any(cache.iterdir())
+
+
+# ------------------------------------------------------- kernel build cache
+_LOAD = (
+    "from repro.backends.cnative_backend import load_kernels\n"
+    "load_kernels().repro_numpy_chunk\n"
+)
+
+
+@needs_compiler
+class TestKernelCache:
+    def test_two_processes_build_into_one_empty_cache(self, tmp_path):
+        cache = tmp_path / "cache"
+        env = dict(os.environ, PYTHONPATH=REPO_SRC, **{ENV_CACHE_DIR: str(cache)})
+        builders = [
+            subprocess.Popen(
+                [sys.executable, "-c", _LOAD], env=env,
+                stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(2)
+        ]
+        for builder in builders:
+            _out, err = builder.communicate(timeout=240)
+            assert builder.returncode == 0, err
+        assert [path.suffix for path in cache.iterdir()] == [".so"]
+        assert cache.stat().st_mode & 0o077 == 0
+
+    def test_world_writable_cache_is_refused(self, tmp_path, monkeypatch, params):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache.chmod(0o777)
+        monkeypatch.setenv(ENV_CACHE_DIR, str(cache))
+        cnative = CNativeBackend()
+        assert not cnative.available()
+        assert "group- or world-writable" in cnative.availability_note()
+        numpy_backend = NumpyBackend()
+        kwargs = dict(n_slots=3_000, seed=4)
+        _assert_same_batches(
+            run_batch([[16, 48]] * 2, params, backend=_LoopBackend(), **kwargs),
+            run_batch([[16, 48]] * 2, params, backend=numpy_backend, **kwargs),
+        )
+        note = numpy_backend.availability_note()
+        assert "numpy loop in use" in note and "world-writable" in note
+        assert not any(cache.iterdir())
+
+    def test_symlinked_cache_is_refused(self, tmp_path, monkeypatch):
+        target = tmp_path / "real"
+        target.mkdir(mode=0o700)
+        (tmp_path / "link").symlink_to(target)
+        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "link"))
+        cnative = CNativeBackend()
+        assert not cnative.available()
+        assert "is a symlink" in cnative.availability_note()
 
 
 # ------------------------------------------------------- calendar equivalence
@@ -272,6 +498,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "numpy" in out
         assert "python" in out
+        numpy_line = next(
+            line for line in out.splitlines() if line[2:].startswith("numpy ")
+        )
+        assert numpy_line.endswith(get_backend("numpy").availability_note())
+        assert (
+            "compiled kernel in use" in numpy_line
+            or "numpy loop in use: " in numpy_line
+        )
 
     def test_backend_flag_installs_default(self, capsys):
         from repro.cli import main
