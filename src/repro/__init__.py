@@ -76,7 +76,7 @@ from repro.game import (
     window_for_tau,
 )
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "AccessMode",

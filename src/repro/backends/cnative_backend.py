@@ -12,8 +12,9 @@ go through the one build and loader here, :func:`load_kernels`.
 
 The shared object is cached in a per-user directory keyed by the
 SHA-256 of the C source plus the compiler command line, so the compiler
-runs once per source revision per machine.  The directory is created
-``0700`` and refused when it is a symlink, owned by another user or
+runs once per source revision per machine; each build deletes the
+objects of other revisions.  The directory is created ``0700`` and
+refused when it is a symlink, owned by another user or
 group/world-writable, since whatever object sits under the expected
 name is loaded into the process.  When no compiler is present, the
 cache is refused or the build fails, the backend reports itself
@@ -445,7 +446,25 @@ def _build_library(compiler: str) -> Path:
                 f"$ {' '.join(command)}\n{completed.stderr.strip()}"
             )
         os.replace(built, library)
+    _prune_cache(cache, keep=library)
     return library
+
+
+def _prune_cache(cache: Path, *, keep: Path) -> None:
+    """Delete other source revisions' objects and sources, best effort.
+
+    Runs only after a build, never on a plain load, so checkouts that
+    share a cache rebuild at most once after switching.  ``.build-*``
+    directories are left alone: they may be another process's build in
+    flight.  A process that already loaded a pruned object keeps its
+    mapping.
+    """
+    for stale in cache.glob("repro_kernels_*"):
+        if stale != keep and stale.suffix in (".so", ".c"):
+            try:
+                stale.unlink()
+            except OSError:
+                pass
 
 
 def load_kernels() -> ctypes.CDLL:

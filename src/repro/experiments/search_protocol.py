@@ -9,6 +9,12 @@ payoff measurements:
   finite measurement window ``t_m``, so payoffs are noisy and the found
   window scatters across the utility plateau - exactly the regime the
   paper's GTFT tolerance is designed for).
+
+The probes run on the vectorized kernel
+(:func:`repro.sim.vectorized.simulate`) and its configured backend, like
+the Table II/III simulations.  The default numpy backend runs the
+compiled replay of its loop where a C compiler is available and the
+loop itself otherwise, with identical seeded results on either path.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from repro.game.definition import MACGame
 from repro.game.equilibrium import efficient_window
 from repro.game.search import SearchOutcome, run_search_protocol
 from repro.phy.parameters import AccessMode, PhyParameters, default_parameters
-from repro.sim.engine import DcfSimulator
+from repro.sim.vectorized import simulate
 
 __all__ = ["SearchStudyResult", "SearchRun", "run", "simulator_measurement"]
 
@@ -35,6 +41,9 @@ def simulator_measurement(
     Each probe simulates the whole network on the probed common window
     for ``slots_per_probe`` virtual slots and returns the initiator's
     (node 0) measured payoff - the paper's ``(n_s g - n_e e) / t_m``.
+    Probe ``k`` (counting from 1) is seeded ``seed + k``, so repeated
+    probes of one window draw fresh streams and the whole search is
+    reproducible from ``seed``.
     """
     if slots_per_probe < 1:
         raise ParameterError(
@@ -44,13 +53,13 @@ def simulator_measurement(
 
     def measure(window: int) -> float:
         state["probe"] += 1
-        simulator = DcfSimulator(
+        result = simulate(
             [int(window)] * game.n_players,
             game.params,
             game.mode,
+            n_slots=slots_per_probe,
             seed=seed + state["probe"],
         )
-        result = simulator.run(slots_per_probe)
         return float(result.payoff_rates[0])
 
     return measure
@@ -119,7 +128,14 @@ def run(
     slots_per_probe: int = 40_000,
     seed: int = 0,
 ) -> SearchStudyResult:
-    """Run the protocol from several starts, analytic and simulated."""
+    """Run the protocol from several starts, analytic and simulated.
+
+    The analytic runs measure the noise-free symmetric utility.  The
+    simulated runs (``with_simulation``) share one
+    :func:`simulator_measurement`, so the ``k``-th probe of the whole
+    study simulates ``slots_per_probe`` virtual slots on seed
+    ``seed + k``.
+    """
     if params is None:
         params = default_parameters()
     game = MACGame(n_players=n_players, params=params, mode=mode)

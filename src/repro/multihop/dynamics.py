@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.multihop.game import MultihopGame
-from repro.multihop.localgame import local_efficient_windows
 from repro.multihop.mobility import RandomWaypointModel
 from repro.phy.parameters import AccessMode, PhyParameters
 from repro.rng import RngLike, resolve_rng
@@ -152,9 +151,9 @@ class MobilityDynamics:
                 self.tx_range, interval=epoch_seconds, count=n_epochs
             )
         ):
-            local = local_efficient_windows(topology, self.params, self.mode)
             game = MultihopGame(topology, self.params, self.mode)
             equilibrium = game.solve()
+            local = equilibrium.local
             reopening = equilibrium.converged_window
 
             if self._sticky is None:

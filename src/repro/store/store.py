@@ -27,6 +27,7 @@ is repaired by :meth:`ResultStore.reindex`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -67,8 +68,14 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+@functools.lru_cache(maxsize=1)
 def _git_sha() -> Optional[str]:
-    """Best-effort commit SHA of the working tree (None outside git)."""
+    """Best-effort commit SHA of the working tree (None outside git).
+
+    Computed on the process's first commit and reused, so later commits
+    do not fork ``git`` (about 10 ms each): every manifest a process
+    writes names HEAD as it was at that first commit.
+    """
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -269,6 +276,8 @@ class ResultStore:
                 experiment_id, params, seed_material=seed_material
             )
         check_digest(digest)
+        # Outside the lock: the first commit of a process forks git.
+        git_sha = _git_sha()
         # The lock covers the whole commit (object files + index
         # read-modify-write) so a concurrent gc/prune can never observe
         # - and reap - a payload whose manifest is still in flight, and
@@ -281,7 +290,7 @@ class ResultStore:
                 params=dict(result_to_dict(dict(params))),
                 version=_package_version(),
                 created_at=_utc_now(),
-                git_sha=_git_sha(),
+                git_sha=git_sha,
                 host=platform.node(),
                 python_version=platform.python_version(),
                 numpy_version=np.__version__,

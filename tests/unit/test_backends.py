@@ -28,6 +28,7 @@ from repro.backends.cnative_backend import (
     ENV_CACHE_DIR,
     CNativeBackend,
     _find_compiler,
+    load_kernels,
 )
 from repro.backends.numpy_backend import NumpyBackend
 from repro.bianchi.batched import solve_heterogeneous_batch
@@ -348,6 +349,32 @@ class TestKernelCache:
             assert builder.returncode == 0, err
         assert [path.suffix for path in cache.iterdir()] == [".so"]
         assert cache.stat().st_mode & 0o077 == 0
+
+    def test_build_prunes_other_revisions_only(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir(mode=0o700)
+        stale = [
+            cache / "repro_kernels_0123456789abcdef.so",
+            cache / "repro_kernels_0123456789abcdef.c",
+        ]
+        for path in stale:
+            path.write_text("from an older source revision")
+        in_flight = cache / ".build-other" / "repro_kernels.c"
+        in_flight.parent.mkdir()
+        in_flight.write_text("another process's build")
+        monkeypatch.setenv(ENV_CACHE_DIR, str(cache))
+
+        load_kernels()
+        kept = list(cache.glob("repro_kernels_*"))
+        assert len(kept) == 1 and kept[0].suffix == ".so"
+        assert kept[0] not in stale
+        assert in_flight.is_file()
+
+        # A plain load (the object is cached) prunes nothing.
+        for path in stale:
+            path.write_text("from an older source revision")
+        load_kernels()
+        assert all(path.is_file() for path in stale)
 
     def test_world_writable_cache_is_refused(self, tmp_path, monkeypatch, params):
         cache = tmp_path / "cache"

@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.multihop.dynamics as dynamics_module
+import repro.multihop.game as game_module
 from repro.errors import ParameterError
 from repro.multihop.dynamics import MobilityDynamics
+from repro.multihop.localgame import local_efficient_windows
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +53,19 @@ class TestMobilityDynamics:
         )
         with pytest.raises(ParameterError):
             dynamics.run(0)
+
+    def test_solves_each_epoch_local_game_once(self, params, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return local_efficient_windows(*args, **kwargs)
+
+        for module in (dynamics_module, game_module):
+            if hasattr(module, "local_efficient_windows"):
+                monkeypatch.setattr(module, "local_efficient_windows", counting)
+        dynamics = MobilityDynamics(
+            params, n_nodes=20, rng=np.random.default_rng(3)
+        )
+        dynamics.run(3)
+        assert len(calls) == 3

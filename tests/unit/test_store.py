@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,48 @@ class TestPutGet:
         with pytest.raises(ParameterError):
             store.put("convergence", {"seed": 1}, object())
         assert store.find() == []
+
+
+class TestProvenance:
+    @pytest.fixture(autouse=True)
+    def _fresh_process_sha(self):
+        store_module._git_sha.cache_clear()
+        yield
+        store_module._git_sha.cache_clear()
+
+    def test_puts_fork_git_once_per_process(self, store, monkeypatch):
+        started = []
+        popen_init = subprocess.Popen.__init__
+
+        def counting_init(self, *args, **kwargs):
+            started.append(args[0] if args else kwargs["args"])
+            popen_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess.Popen, "__init__", counting_init)
+        manifests = [_put(store, seed=seed) for seed in range(5)]
+        assert started == [["git", "rev-parse", "HEAD"]]
+        assert len({manifest.git_sha for manifest in manifests}) == 1
+
+    def test_manifest_carries_head(self, store):
+        head = None
+        if shutil.which("git"):
+            proc = subprocess.run(
+                ["git", "rev-parse", "HEAD"], capture_output=True, text=True
+            )
+            head = proc.stdout.strip() if proc.returncode == 0 else None
+        manifest = _put(store, seed=1)
+        assert manifest.git_sha == head
+        assert store.manifest(manifest.digest).git_sha == head
+
+    def test_manifest_sha_is_none_outside_git(self, store, tmp_path, monkeypatch):
+        outside = tmp_path / "not-a-checkout"
+        outside.mkdir()
+        monkeypatch.chdir(outside)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        monkeypatch.delenv("GIT_DIR", raising=False)
+        manifest = _put(store, seed=1)
+        assert manifest.git_sha is None
+        assert store.manifest(manifest.digest).git_sha is None
 
 
 class TestIntegrity:
