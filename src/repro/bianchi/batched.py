@@ -21,8 +21,8 @@ arrays in one call, with
   stragglers keep iterating, so one hard instance does not make the whole
   batch pay, and
 * a vectorized damped-Newton fallback (explicit Jacobian, batched
-  ``numpy.linalg.solve``) replacing the scalar ``scipy.optimize.root``
-  call for instances that exhaust the fixed-point budget.
+  ``numpy.linalg.solve``) for instances that exhaust the fixed-point
+  budget.
 
 The symmetric case collapses to one scalar fixed point per instance;
 :func:`solve_symmetric_grid` solves a whole grid of common windows as one
@@ -416,8 +416,7 @@ def _newton_fallback(
     Solves all straggler instances simultaneously with the explicit
     Jacobian ``J = I - (dtau/dp) (dp/dx)`` and batched
     ``numpy.linalg.solve``; a step-halving line search keeps the residual
-    monotone.  Replaces the per-instance ``scipy.optimize.root`` call of
-    the scalar path.
+    monotone.
     """
     n = w.shape[-1]
     x = np.clip(tau0, 1e-6, 1.0 - 1e-6)

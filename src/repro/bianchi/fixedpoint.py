@@ -11,9 +11,11 @@ through the batched array kernel in :mod:`repro.bianchi.batched`:
 :func:`~repro.bianchi.batched.solve_heterogeneous_batch`, and the
 memoized :func:`solve_symmetric` wraps a one-window
 :func:`~repro.bianchi.batched.solve_symmetric_grid` call.  The original
-per-node Python loop survives as :func:`solve_heterogeneous_reference`
-(with a ``scipy.optimize.root`` fallback) so tests and benchmarks can
-pin the batched kernel against the legacy scalar semantics.
+per-node damped Python loop survives as
+:func:`solve_heterogeneous_reference` so tests and benchmarks can pin the
+batched kernel against the legacy scalar semantics; it raises
+:class:`~repro.errors.ConvergenceError` when the damped iteration
+exhausts its budget.
 
 For the symmetric case (all nodes share one ``W``) the system collapses to
 a scalar fixed point ``tau = tau(W, 1 - (1 - tau)^{n-1})``; the paper notes
@@ -28,7 +30,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.typealiases import FloatArray
 from repro.contracts import check_probability, check_window, checks_enabled
@@ -72,15 +73,13 @@ class FixedPointSolution:
     residual:
         Max-norm residual of ``tau_i - tau(W_i, p_i)`` at the solution.
     iterations:
-        Number of fixed-point iterations consumed.  When ``method`` is a
-        fallback (``"newton"``/``"hybr"``) this counts the exhausted
-        fixed-point budget (``-1`` for the legacy scipy path, which does
-        not iterate the damped map at all).
+        Number of fixed-point iterations consumed.  When ``method`` is
+        ``"newton"`` this counts the exhausted fixed-point budget.
     method:
         How the solution was obtained: ``"closed-form"`` (``n = 1``),
         ``"anderson"`` (accelerated batched iteration), ``"newton"``
-        (vectorized Newton fallback), ``"damped"`` (legacy reference
-        loop) or ``"hybr"`` (legacy ``scipy.optimize.root`` fallback).
+        (vectorized Newton fallback) or ``"damped"`` (legacy reference
+        loop).
     """
 
     windows: FloatArray
@@ -228,9 +227,14 @@ def solve_heterogeneous_reference(
 
     Kept as the semantic reference the batched kernel is verified and
     benchmarked against (see ``tests/property`` and
-    ``benchmarks/test_bench_fixedpoint.py``).  Fallback solves are
-    reported distinguishably: ``method="hybr"`` with ``iterations=-1``
-    instead of masquerading as instant damped convergence.
+    ``benchmarks/test_bench_fixedpoint.py``).
+
+    Raises
+    ------
+    ConvergenceError
+        If the damped iteration does not reach ``tol`` within
+        ``max_iterations`` sweeps, or the residual at the result exceeds
+        ``1e-8``.
     """
     w = np.asarray(list(windows), dtype=float)
     if w.ndim != 1 or w.shape[0] < 1:
@@ -268,7 +272,6 @@ def solve_heterogeneous_reference(
         )
 
     iterations = 0
-    method = "damped"
     for iterations in range(1, max_iterations + 1):
         updated = _DAMPING * tau + (1.0 - _DAMPING) * step(tau)
         delta = float(np.max(np.abs(updated - tau)))
@@ -276,9 +279,10 @@ def solve_heterogeneous_reference(
         if delta < tol:
             break
     else:
-        tau = _root_fallback(w, max_stage, tau)
-        iterations = -1
-        method = "hybr"
+        raise ConvergenceError(
+            f"damped fixed point did not converge in {max_iterations} "
+            f"iterations for windows={w!r}"
+        )
 
     p = _collision_probabilities(tau)
     residual = float(np.max(np.abs(tau - step(tau))))
@@ -295,43 +299,16 @@ def solve_heterogeneous_reference(
         check_probability(p, "collision")
     if _obs_enabled():
         _obs_inc("bianchi.solves", 1, kind="reference")
-        _obs_inc("bianchi.method", 1, method=method)
-        if method == "hybr":
-            _obs_inc("bianchi.fallbacks", 1, method="hybr")
-        else:
-            _obs_observe("bianchi.iterations", iterations, kind="reference")
+        _obs_inc("bianchi.method", 1, method="damped")
+        _obs_observe("bianchi.iterations", iterations, kind="reference")
     return FixedPointSolution(
         windows=w,
         tau=tau,
         collision=p,
         residual=residual,
         iterations=iterations,
-        method=method,
+        method="damped",
     )
-
-
-def _root_fallback(w: FloatArray, max_stage: int, tau0: FloatArray) -> FloatArray:
-    """Solve the system with ``scipy.optimize.root`` as a last resort."""
-    n = w.shape[0]
-
-    def residual(tau: FloatArray) -> FloatArray:
-        clipped = np.clip(tau, 1e-12, 1.0 - 1e-12)
-        p = _collision_probabilities(clipped)
-        target = np.array(
-            [
-                transmission_probability(float(w[i]), float(p[i]), max_stage)
-                for i in range(n)
-            ]
-        )
-        return clipped - target
-
-    result = optimize.root(residual, np.clip(tau0, 1e-6, 1 - 1e-6), method="hybr")
-    if not result.success:
-        raise ConvergenceError(
-            f"heterogeneous fixed point did not converge for windows={w!r}: "
-            f"{result.message}"
-        )
-    return np.clip(result.x, 1e-12, 1.0 - 1e-12)
 
 
 def solve_symmetric(

@@ -30,13 +30,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.contracts import check_interval, check_probability, checks_enabled
 from repro.errors import ConvergenceError, ParameterError
 from repro.typealiases import FloatArray
 from repro.bianchi.fixedpoint import solve_symmetric
 from repro.bianchi.markov import _geometric_sum
+from repro.game._brent import brentq, minimize_bounded
 from repro.game.utility import symmetric_utility_curve, symmetric_utility_from_tau
 from repro.phy.parameters import PhyParameters
 from repro.phy.timing import SlotTimes
@@ -72,7 +72,11 @@ def q_function(tau: float, n_nodes: int, times: SlotTimes) -> float:
     check_probability(tau, "tau", tol=0.0)
     if n_nodes < 2:
         raise ParameterError(f"n_nodes must be >= 2, got {n_nodes!r}")
-    n = n_nodes
+    return _q_unchecked(tau, n_nodes, times)
+
+
+def _q_unchecked(tau: float, n: int, times: SlotTimes) -> float:
+    """:func:`q_function` without validation, for the root finder's loop."""
     one_minus = 1.0 - tau
     pow_n = one_minus**n
     pow_n1 = one_minus ** (n - 1)
@@ -123,10 +127,10 @@ def optimal_tau(
                 "Q does not bracket a root; check slot times "
                 f"(Q({lo})={q_lo!r}, Q({hi})={q_hi!r})"
             )
-        return float(
-            optimize.brentq(
-                lambda t: q_function(t, n_nodes, times), lo, hi, xtol=1e-14
-            )
+        # Both ends are validated above, and Brent's iterates never leave
+        # the bracket, so the loop evaluates Q unchecked.
+        return brentq(
+            lambda t: _q_unchecked(t, n_nodes, times), lo, hi, xtol=1e-14
         )
     if method == "direct":
         if params is None:
@@ -134,13 +138,7 @@ def optimal_tau(
         objective: Callable[[float], float] = lambda t: -symmetric_utility_from_tau(
             t, n_nodes, params, times, ignore_cost=ignore_cost
         )
-        result = optimize.minimize_scalar(
-            objective, bounds=(1e-9, 1.0 - 1e-9), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if not result.success:  # pragma: no cover - bounded always succeeds
-            raise ConvergenceError(f"direct tau optimisation failed: {result}")
-        return float(result.x)
+        return minimize_bounded(objective, 1e-9, 1.0 - 1e-9, xatol=1e-12)
     raise ParameterError(f"unknown method {method!r}; use 'q' or 'direct'")
 
 

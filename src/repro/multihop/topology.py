@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import TopologyError
@@ -97,14 +96,18 @@ class GeometricTopology:
         """
         return self.degree(node) + 1
 
-    @cached_property
-    def graph(self) -> nx.Graph:
-        """The topology as a :class:`networkx.Graph` (for path queries)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n_nodes))
-        rows, cols = np.nonzero(np.triu(self.adjacency))
-        graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
-        return graph
+    def _reach(self, source: int) -> np.ndarray:
+        """Boolean mask of the nodes reachable from ``source``.
+
+        Breadth-first search over :attr:`adjacency`, one frontier per hop.
+        """
+        reached = np.zeros(self.n_nodes, dtype=bool)
+        reached[source] = True
+        frontier = reached.copy()
+        while frontier.any():
+            frontier = self.adjacency[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        return reached
 
     def is_connected(self) -> bool:
         """Whether the snapshot forms one connected component.
@@ -112,11 +115,21 @@ class GeometricTopology:
         Section VI assumes a connected network (otherwise TFT converges
         per component, not globally).
         """
-        return nx.is_connected(self.graph)
+        return bool(self._reach(0).all())
 
     def components(self) -> List[set]:
-        """Connected components as sets of node indices."""
-        return [set(c) for c in nx.connected_components(self.graph)]
+        """Connected components as sets of node indices.
+
+        Ordered by their smallest node.
+        """
+        found: List[set] = []
+        unseen = np.ones(self.n_nodes, dtype=bool)
+        for node in range(self.n_nodes):
+            if unseen[node]:
+                reached = self._reach(node)
+                unseen &= ~reached
+                found.append(set(np.flatnonzero(reached).tolist()))
+        return found
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:

@@ -2,7 +2,7 @@
 
 The server speaks just enough HTTP for interoperability with ``curl``
 and :class:`~repro.serve.client.ServeClient` - no external web framework,
-matching the repository's numpy/scipy-only dependency policy:
+matching the repository's numpy-only dependency policy:
 
 * ``POST /v1/solve`` - body is one request document
   ``{"kind": ..., "params": {...}}`` or a JSON list of them; the

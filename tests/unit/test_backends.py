@@ -324,6 +324,34 @@ class TestNumpyCompiled:
         )
         assert not cache.exists() or not any(cache.iterdir())
 
+    def test_runtime_imports_neither_scipy_nor_networkx(self):
+        # The runtime is numpy-only: the CLI and the solver paths that
+        # used scipy or networkx must load neither.
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "from repro.bianchi.fixedpoint import solve_heterogeneous_reference\n"
+            "from repro.game.equilibrium import analyze_equilibria, efficient_window\n"
+            "from repro.multihop.topology import random_topology\n"
+            "from repro.phy.parameters import AccessMode, default_parameters\n"
+            "from repro.phy.timing import slot_times\n"
+            "params = default_parameters()\n"
+            "times = slot_times(params, AccessMode.BASIC)\n"
+            "efficient_window(5, params, times, ignore_cost=True)\n"
+            "efficient_window(5, params, times, ignore_cost=False)\n"
+            "analyze_equilibria(20, params, times)\n"
+            "random_topology(30, require_connected=True).components()\n"
+            "solve_heterogeneous_reference([16.0, 32.0], 5)\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.split('.')[0] in ('scipy', 'networkx')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, check=True, timeout=120, capture_output=True, text=True,
+        )
+        assert done.stdout.strip() == "[]"
+
 
 # ------------------------------------------------------- kernel build cache
 _LOAD = (

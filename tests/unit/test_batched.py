@@ -23,7 +23,7 @@ from repro.bianchi.fixedpoint import (
     solve_symmetric,
 )
 from repro.bianchi.markov import transmission_probability
-from repro.errors import ParameterError
+from repro.errors import ConvergenceError, ParameterError
 
 MAX_STAGE = 5
 
@@ -149,6 +149,12 @@ class TestMethodReporting:
         sol = solve_heterogeneous_reference([16.0, 32.0], MAX_STAGE)
         assert sol.method == "damped"
         assert sol.iterations >= 1
+
+    def test_reference_solver_raises_when_budget_runs_out(self):
+        with pytest.raises(ConvergenceError):
+            solve_heterogeneous_reference(
+                [4.0, 8.0, 512.0], MAX_STAGE, max_iterations=2
+            )
 
 
 class TestCollisionProbabilities:

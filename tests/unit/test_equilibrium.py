@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from repro.bianchi.fixedpoint import solve_symmetric
 from repro.errors import ConvergenceError, ParameterError
@@ -55,6 +54,7 @@ class TestOptimalTau:
 
     def test_is_the_utility_maximizer(self, params, basic_times):
         # The Q-root must maximise the cost-free symmetric utility.
+        optimize = pytest.importorskip("scipy.optimize")
         n = 10
         tau_star = optimal_tau(n, basic_times)
         direct = optimize.minimize_scalar(

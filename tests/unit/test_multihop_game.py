@@ -10,6 +10,24 @@ from repro.multihop.game import MultihopGame
 from repro.multihop.topology import GeometricTopology, random_topology
 
 
+def bfs_diameter(adjacency):
+    """Largest eccentricity (hop count) over the nodes of a connected graph."""
+    n = adjacency.shape[0]
+    diameter = 0
+    for source in range(n):
+        reached = np.zeros(n, dtype=bool)
+        reached[source] = True
+        frontier = reached.copy()
+        eccentricity = -1
+        while frontier.any():
+            eccentricity += 1
+            frontier = adjacency[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        assert reached.all(), "graph is not connected"
+        diameter = max(diameter, eccentricity)
+    return diameter
+
+
 def chain(n, spacing=100.0, tx_range=150.0):
     positions = np.column_stack([np.arange(n) * spacing, np.zeros(n)])
     return GeometricTopology(
@@ -40,14 +58,15 @@ class TestSolve:
         assert np.all(final == random_equilibrium.converged_window)
 
     def test_convergence_bounded_by_diameter(self, random_game, random_equilibrium):
-        import networkx as nx
-
-        diameter = nx.diameter(random_game.topology.graph)
+        diameter = bfs_diameter(random_game.topology.adjacency)
         assert random_equilibrium.convergence_stages <= diameter + 1
 
     def test_history_monotone_nonincreasing(self, random_equilibrium):
         history = random_equilibrium.window_history
         assert np.all(history[1:] <= history[:-1])
+
+    def test_bfs_diameter_of_a_chain(self):
+        assert bfs_diameter(chain(6).adjacency) == 5
 
     def test_chain_flood_takes_distance_stages(self, params):
         # On a 6-chain the minimum sits at one end-adjacent node; the

@@ -84,9 +84,27 @@ class TestGraphQueries:
         assert not topo.is_connected()
         assert len(topo.components()) == 2
 
-    def test_graph_edge_count_matches_adjacency(self):
-        topo = random_topology(15, rng=np.random.default_rng(2))
-        assert topo.graph.number_of_edges() == topo.adjacency.sum() // 2
+    def test_components_ordered_by_smallest_node(self):
+        topo = make([[900, 900], [0, 0], [500, 500], [100, 0], [800, 900]])
+        assert not topo.is_connected()
+        assert topo.components() == [{0, 4}, {1, 3}, {2}]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_components_match_scipy(self, seed):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        rng = np.random.default_rng(seed)
+        # Ranges from mostly isolated nodes to one connected component.
+        topo = random_topology(
+            int(rng.integers(2, 60)),
+            tx_range=float(rng.choice([40.0, 120.0, 250.0, 600.0])),
+            rng=rng,
+        )
+        count, labels = csgraph.connected_components(
+            topo.adjacency, directed=False
+        )
+        expected = [set(np.flatnonzero(labels == k).tolist()) for k in range(count)]
+        assert topo.components() == expected
+        assert topo.is_connected() == (count == 1)
 
 
 class TestRandomTopology:
