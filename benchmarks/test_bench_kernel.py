@@ -10,12 +10,12 @@ sweep actually uses (17 grid points x 4 replicas = 68 rows); its
 advantage comes from amortising each virtual-slot event over the batch,
 so single-row comparisons understate production speed.
 
-Both engine records carry the compute backend they ran on (the session
-default from :func:`repro.backends.resolve_backend`; the reference
-engine is always the pure-python ground truth) and the run's peak
-memory - Python-heap peak from ``tracemalloc`` on a separate untimed
-pass, plus the process ``ru_maxrss`` high-water mark - so regressions
-in allocation show up next to regressions in throughput.
+The vectorized record says which path its kernel ran on
+(:func:`repro.backends.kernel_note`: the compiled replay or the numpy
+loop).  Both records carry the run's peak memory - Python-heap peak
+from ``tracemalloc`` on a separate untimed pass, plus the process
+``ru_maxrss`` high-water mark - so regressions in allocation show up
+next to regressions in throughput.
 
 Set ``REPRO_BENCH_SMOKE=1`` (CI) to shrink the slot budget; the JSON is
 still produced and a relaxed speedup floor is asserted.
@@ -31,7 +31,7 @@ import tracemalloc
 from pathlib import Path
 
 from repro import obs
-from repro.backends import resolve_backend
+from repro.backends import kernel_note
 from repro.phy.parameters import AccessMode
 from repro.sim.engine import DcfSimulator
 from repro.sim.vectorized import run_batch
@@ -79,7 +79,6 @@ def _time_reference(params) -> dict:
     )
     return {
         "engine": "reference",
-        "backend": "reference",
         "batch": 1,
         "n_slots": N_SLOTS,
         "elapsed_s": elapsed,
@@ -90,7 +89,6 @@ def _time_reference(params) -> dict:
 
 
 def _time_vectorized(params) -> dict:
-    backend = resolve_backend()
     windows = [[WINDOW] * N_NODES] * BATCH
     run_batch(windows, params, MODE, n_slots=500, seed=1)  # warm-up
     started = time.perf_counter()
@@ -101,7 +99,7 @@ def _time_vectorized(params) -> dict:
     )
     return {
         "engine": "vectorized",
-        "backend": backend.name,
+        "kernel": kernel_note(),
         "batch": BATCH,
         "n_slots": N_SLOTS,
         "elapsed_s": elapsed,
@@ -135,7 +133,7 @@ def test_bench_kernel_speedup(params):
         f"\nreference  {reference['slots_per_sec']:>12,.0f} slots/s"
         f"  (peak heap {reference['peak_heap_mb']:.1f} MB)"
         f"\nvectorized {vectorized['slots_per_sec']:>12,.0f} slots/s"
-        f" (batch {BATCH}, backend {vectorized['backend']},"
+        f" (batch {BATCH}, {vectorized['kernel']},"
         f" peak heap {vectorized['peak_heap_mb']:.1f} MB)"
         f"\nspeedup    {speedup:.1f}x  [written to {RESULT_PATH}]"
     )
@@ -202,7 +200,6 @@ def test_bench_obs_profile_artifact(params):
         json.dumps(profile, indent=2, sort_keys=True) + "\n"
     )
     counters = profile["counters"]
-    backend = resolve_backend().name
     assert any(key.startswith("sim.slots|") for key in counters)
-    assert counters[f"sim.runs|backend={backend},engine=vectorized"] == BATCH
+    assert counters["sim.runs|engine=vectorized"] == BATCH
     print(f"\nobs profile {profile['digest']} written to {OBS_PROFILE_PATH}")

@@ -1,14 +1,11 @@
-"""Self-compiled C backend for the two hot kernels (``cnative``).
+"""Build and load the compiled replay of the numpy simulator kernel.
 
-A transliteration of :mod:`repro.backends.calendar_kernels` to C,
-compiled on demand with the system C compiler and loaded through
-:mod:`ctypes` - no build-time artefacts ship with the package and no
-new Python dependency is required, which is what makes this backend
-usable in containers where ``numba`` cannot be installed.  The same
-shared object carries the numpy backend's compiled replay
-(``repro_numpy_chunk``, driven by
-:class:`~repro.backends.numpy_backend.NumpyBackend`), so both backends
-go through the one build and loader here, :func:`load_kernels`.
+The numpy kernel's events also exist as C (``repro_numpy_chunk``, a
+bit-for-bit replay of the loop in
+:mod:`repro.backends.numpy_backend`), compiled on demand with the
+system C compiler and loaded through :mod:`ctypes` - no build-time
+artefacts ship with the package and no Python dependency beyond numpy
+is required.
 
 The shared object is cached in a per-user directory keyed by the
 SHA-256 of the C source plus the compiler command line, so the compiler
@@ -17,16 +14,9 @@ objects of other revisions.  The directory is created ``0700`` and
 refused when it is a symlink, owned by another user or
 group/world-writable, since whatever object sits under the expected
 name is loaded into the process.  When no compiler is present, the
-cache is refused or the build fails, the backend reports itself
-unavailable (with the reason) and
-:func:`repro.backends.resolve_backend` falls back to numpy.
-
-Bit-compatibility: the C kernels consume the *same* per-lane splitmix64
-streams as the interpreted/JIT calendar kernels (same constants, same
-``floor(u53 * bound)`` draw, same bucket iteration order), so
-``cnative`` and ``python`` produce identical counters for matched seeds
-- the cross-backend tests pin exactly that, which is how the C code is
-validated without numba in the container.
+cache is refused or the build fails, :func:`load_kernels` raises with
+the reason and the numpy kernel runs its loop instead.  The loader only
+picks between two bit-identical paths; it never decides a value.
 """
 
 from __future__ import annotations
@@ -40,200 +30,25 @@ import stat
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.typealiases import BoolArray, FloatArray, IntArray
 from repro.errors import BackendError
-from repro.backends.base import ComputeBackend, SimChunkState
-from repro.backends.calendar_kernels import ring_size_for
 
-__all__ = ["CNativeBackend", "LazyKernels", "load_kernels"]
+__all__ = ["LazyKernels", "load_kernels"]
 
 #: Override the shared-object cache directory (e.g. for hermetic CI).
 ENV_CACHE_DIR = "REPRO_CNATIVE_CACHE"
 #: Override the compiler executable (default: ``cc`` then ``gcc``).
 ENV_CC = "REPRO_CC"
 
-_P_MAX = 1.0 - 1e-15
-_TAU_MIN = 1e-12
-_TAU_MAX = 1.0 - 1e-12
-_DAMPING = 0.5
-
 _C_SOURCE = r"""
+#include <stddef.h>
 #include <stdint.h>
-#include <stdlib.h>
-#include <math.h>
-
-/* splitmix64 (public domain, Vigna); must match calendar_kernels.py. */
-static inline uint64_t sm64_next(uint64_t *state) {
-    uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
-
-/* floor(u53 * bound): identical construction (and bias) to the python
- * kernels and the numpy backend's uniform blocks. */
-static inline int64_t draw_below(uint64_t *state, int64_t bound) {
-    double u = (double)(sm64_next(state) >> 11) * (1.0 / 9007199254740992.0);
-    return (int64_t)(u * (double)bound);
-}
-
-/* Calendar-queue DCF chunk; see calendar_kernels.sim_chunk_kernel for
- * the algorithm notes.  Returns 0, or 1 if an allocation failed (the
- * caller detects unfinished lanes via slots_done). */
-int repro_sim_chunk(
-    const int64_t *windows, int64_t batch, int64_t n,
-    int64_t max_stage, int64_t target, int64_t ring_size,
-    int64_t *stage, int64_t *counter,
-    int64_t *attempts, int64_t *successes,
-    int64_t *busy_count, int64_t *slots_done,
-    uint64_t *rng_state)
-{
-    int failed = 0;
-    int64_t lane;
-#if defined(_OPENMP)
-#pragma omp parallel for schedule(dynamic)
-#endif
-    for (lane = 0; lane < batch; lane++) {
-        int64_t t = slots_done[lane];
-        if (t >= target) continue;
-        uint64_t s = rng_state[lane];
-        const int64_t *W = windows + lane * n;
-        int64_t *stg = stage + lane * n;
-        int64_t *cnt = counter + lane * n;
-        int64_t *att = attempts + lane * n;
-        int64_t *suc = successes + lane * n;
-        int64_t *head = (int64_t *)malloc(sizeof(int64_t) * (size_t)ring_size);
-        int64_t *nxt = (int64_t *)malloc(sizeof(int64_t) * (size_t)n);
-        int64_t *deadline = (int64_t *)malloc(sizeof(int64_t) * (size_t)n);
-        int64_t *due = (int64_t *)malloc(sizeof(int64_t) * (size_t)n);
-        if (!head || !nxt || !deadline || !due) {
-            free(head); free(nxt); free(deadline); free(due);
-            failed = 1;
-            continue;
-        }
-        for (int64_t b = 0; b < ring_size; b++) head[b] = -1;
-        for (int64_t i = 0; i < n; i++) {
-            int64_t c = cnt[i];
-            if (c < 0) c = draw_below(&s, W[i]);
-            deadline[i] = t + c;
-            int64_t b = deadline[i] % ring_size;
-            nxt[i] = head[b];
-            head[b] = i;
-        }
-        int64_t bucket = t % ring_size;
-        int64_t busy = busy_count[lane];
-        while (t < target) {
-            int64_t i = head[bucket];
-            if (i < 0) {
-                t++;
-                if (++bucket == ring_size) bucket = 0;
-                continue;
-            }
-            /* Collect transmitters, then process in ascending node
-             * order: chain order is push-order LIFO and depends on
-             * where chunk boundaries fell, so a canonical order keeps
-             * differently-chunked runs (and the python/numba kernels)
-             * bit-identical. */
-            int64_t k = 0;
-            for (int64_t j = i; j >= 0; j = nxt[j]) due[k++] = j;
-            for (int64_t a = 1; a < k; a++) {
-                int64_t v = due[a];
-                int64_t b = a - 1;
-                while (b >= 0 && due[b] > v) { due[b + 1] = due[b]; b--; }
-                due[b + 1] = v;
-            }
-            int success = (k == 1);
-            head[bucket] = -1;
-            for (int64_t a = 0; a < k; a++) {
-                int64_t j = due[a];
-                att[j] += 1;
-                if (success) {
-                    suc[j] += 1;
-                    stg[j] = 0;
-                } else {
-                    int64_t st = stg[j] + 1;
-                    if (st > max_stage) st = max_stage;
-                    stg[j] = st;
-                }
-                int64_t bound = W[j] << stg[j];
-                int64_t d = draw_below(&s, bound);
-                deadline[j] = t + 1 + d;
-                int64_t nb = deadline[j] % ring_size;
-                nxt[j] = head[nb];
-                head[nb] = j;
-            }
-            busy++;
-            t++;
-            if (++bucket == ring_size) bucket = 0;
-        }
-        busy_count[lane] = busy;
-        slots_done[lane] = t;
-        for (int64_t i = 0; i < n; i++) cnt[i] = deadline[i] - t;
-        rng_state[lane] = s;
-        free(head); free(nxt); free(deadline); free(due);
-    }
-    return failed;
-}
-
-/* Per-lane damped Bianchi fixed point; see
- * calendar_kernels.fixed_point_kernel. */
-int repro_fixed_point(
-    const double *windows, int64_t batch, int64_t n,
-    int64_t max_stage, double tol, int64_t max_iterations,
-    double damping, double p_max, double tau_min, double tau_max,
-    double *tau, int64_t *iterations, int64_t *converged)
-{
-    int failed = 0;
-    int64_t lane;
-#if defined(_OPENMP)
-#pragma omp parallel for schedule(dynamic)
-#endif
-    for (lane = 0; lane < batch; lane++) {
-        const double *W = windows + lane * n;
-        double *x = tau + lane * n;
-        double *x_next = (double *)malloc(sizeof(double) * (size_t)n);
-        if (!x_next) { failed = 1; continue; }
-        int done = 0;
-        int64_t it = 0;
-        while (it < max_iterations && !done) {
-            it++;
-            double total = 0.0;
-            for (int64_t i = 0; i < n; i++) total += log1p(-x[i]);
-            double delta = 0.0;
-            for (int64_t i = 0; i < n; i++) {
-                double p = 1.0 - exp(total - log1p(-x[i]));
-                if (p > p_max) p = p_max;
-                if (p < 0.0) p = 0.0;
-                double series = 0.0;
-                double power = 1.0;
-                for (int64_t j = 0; j < max_stage; j++) {
-                    series += power;
-                    power *= 2.0 * p;
-                }
-                double fp = 2.0 / (1.0 + W[i] + p * W[i] * series);
-                double nx = x[i] + damping * (fp - x[i]);
-                if (nx < tau_min) nx = tau_min;
-                if (nx > tau_max) nx = tau_max;
-                double d = fabs(nx - x[i]);
-                if (d > delta) delta = d;
-                x_next[i] = nx;
-            }
-            for (int64_t i = 0; i < n; i++) x[i] = x_next[i];
-            if (delta < tol) done = 1;
-        }
-        iterations[lane] = it;
-        converged[lane] = done;
-        free(x_next);
-    }
-    return failed;
-}
 
 /* ---------------------------------------------------------------------
- * The numpy backend's loop (numpy_backend.NumpyBackend) replayed bit for
+ * The numpy kernel's loop (numpy_backend._sim_loop) replayed bit for
  * bit: the same events in the same order, the same float64 products of
  * the caller's uniform blocks on the fast path, and the same
  * Generator.integers draws on the tail, taken from the Generator's own
@@ -364,10 +179,6 @@ int repro_numpy_chunk(
 }
 """
 
-_I64 = ctypes.POINTER(ctypes.c_int64)
-_U64 = ctypes.POINTER(ctypes.c_uint64)
-_F64 = ctypes.POINTER(ctypes.c_double)
-
 
 def _find_compiler() -> Optional[str]:
     override = os.environ.get(ENV_CC)
@@ -416,7 +227,7 @@ def _cache_dir() -> Path:
 
 def _build_library(compiler: str) -> Path:
     """Compile (or reuse) the shared object; returns its path."""
-    flags = ["-O3", "-fPIC", "-shared", "-lm"]
+    flags = ["-O3", "-fPIC", "-shared"]
     key = hashlib.sha256(
         ("\x00".join([compiler, *flags, _C_SOURCE])).encode()
     ).hexdigest()[:16]
@@ -468,10 +279,10 @@ def _prune_cache(cache: Path, *, keep: Path) -> None:
 
 
 def load_kernels() -> ctypes.CDLL:
-    """Build (once per machine) and load the shared object of C kernels.
+    """Build (once per machine) and load the compiled replay.
 
-    Every call returns a fresh handle with the argument types of all
-    three kernels declared; callers keep the one they get.
+    Every call returns a fresh handle with the argument types of
+    ``repro_numpy_chunk`` declared; callers keep the one they get.
 
     Raises
     ------
@@ -486,19 +297,6 @@ def load_kernels() -> ctypes.CDLL:
         library = ctypes.CDLL(str(_build_library(compiler)))
     except OSError as error:
         raise BackendError(f"cnative build unusable: {error}") from error
-    library.repro_sim_chunk.restype = ctypes.c_int
-    library.repro_sim_chunk.argtypes = [
-        _I64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        _I64, _I64, _I64, _I64, _I64, _I64, _U64,
-    ]
-    library.repro_fixed_point.restype = ctypes.c_int
-    library.repro_fixed_point.argtypes = [
-        _F64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double,
-        ctypes.c_double, _F64, _I64, _I64,
-    ]
     # ndpointer rejects arrays of another dtype or layout at the call;
     # the last two arguments are numpy's bit_generator.ctypes
     # state_address and next_uint32.
@@ -516,10 +314,10 @@ def load_kernels() -> ctypes.CDLL:
 
 
 class LazyKernels:
-    """The C kernels of one backend, loaded on first use.
+    """The compiled replay, loaded on first use.
 
     Remembers the failure too, so an unusable toolchain costs one
-    attempt per backend instance; :attr:`error` says why.
+    attempt per instance; :attr:`error` says why.
     """
 
     def __init__(self) -> None:
@@ -535,101 +333,3 @@ class LazyKernels:
                 self.error = str(error)
         return self._library
 
-
-class CNativeBackend(ComputeBackend):
-    """C calendar-queue kernels compiled on demand via the system cc."""
-
-    name = "cnative"
-    deterministic = True
-    matches_numpy = False
-    supports_fixed_point = True
-
-    def __init__(self) -> None:
-        self._kernels = LazyKernels()
-
-    def available(self) -> bool:
-        return self._kernels.get() is not None
-
-    def availability_note(self) -> str:
-        if self.available():
-            return "C kernels built via the system compiler"
-        return self._kernels.error or "unavailable"
-
-    def _load(self) -> ctypes.CDLL:
-        library = self._kernels.get()
-        if library is None:
-            raise BackendError(
-                f"the cnative backend is unavailable: {self._kernels.error}"
-            )
-        return library
-
-    def sim_chunk(
-        self,
-        windows: IntArray,
-        max_stage: int,
-        target_slots: int,
-        state: SimChunkState,
-    ) -> None:
-        library = self._load()
-        rng_state = np.ascontiguousarray(state.rng, dtype=np.uint64)
-        state.rng = rng_state
-        batch, n_nodes = windows.shape
-        status = library.repro_sim_chunk(
-            np.ascontiguousarray(windows).ctypes.data_as(_I64),
-            batch,
-            n_nodes,
-            max_stage,
-            target_slots,
-            ring_size_for(windows, max_stage),
-            state.stage.ctypes.data_as(_I64),
-            state.counter.ctypes.data_as(_I64),
-            state.attempts.ctypes.data_as(_I64),
-            state.successes.ctypes.data_as(_I64),
-            state.busy_count.ctypes.data_as(_I64),
-            state.slots_done.ctypes.data_as(_I64),
-            rng_state.ctypes.data_as(_U64),
-        )
-        if status != 0:  # pragma: no cover - malloc failure
-            raise BackendError("cnative sim kernel ran out of memory")
-
-    def solve_batch(
-        self,
-        windows: FloatArray,
-        max_stage: int,
-        *,
-        tol: float,
-        max_iterations: int,
-        initial_tau: Optional[FloatArray] = None,
-    ) -> Tuple[FloatArray, IntArray, BoolArray]:
-        library = self._load()
-        w = np.ascontiguousarray(windows, dtype=np.float64)
-        batch, n_nodes = w.shape
-        if initial_tau is not None:
-            tau = np.ascontiguousarray(
-                np.broadcast_to(
-                    np.asarray(initial_tau, dtype=np.float64), w.shape
-                ).copy()
-            )
-            np.clip(tau, _TAU_MIN, _TAU_MAX, out=tau)
-        else:
-            tau = np.full_like(w, 0.1)
-        iterations = np.zeros(batch, dtype=np.int64)
-        converged = np.zeros(batch, dtype=np.int64)
-        status = library.repro_fixed_point(
-            w.ctypes.data_as(_F64),
-            batch,
-            n_nodes,
-            max_stage,
-            tol,
-            max_iterations,
-            _DAMPING,
-            _P_MAX,
-            _TAU_MIN,
-            _TAU_MAX,
-            tau.ctypes.data_as(_F64),
-            iterations.ctypes.data_as(_I64),
-            converged.ctypes.data_as(_I64),
-        )
-        if status != 0:  # pragma: no cover - malloc failure
-            raise BackendError("cnative fixed point ran out of memory")
-        return tau, iterations, converged.astype(bool)

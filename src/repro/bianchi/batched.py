@@ -44,7 +44,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.typealiases import BoolArray, FloatArray, IntArray
-from repro.backends import ComputeBackend, resolve_backend
 from repro.contracts import check_probability, check_window, checks_enabled
 from repro.errors import ConvergenceError, ParameterError
 from repro.obs import enabled as _obs_enabled
@@ -196,7 +195,6 @@ def solve_heterogeneous_batch(
     tol: float = _DEFAULT_TOL,
     max_iterations: int = _DEFAULT_MAX_ITER,
     initial_tau: Optional[FloatArray] = None,
-    backend: Union[None, str, ComputeBackend] = None,
 ) -> BatchedFixedPoint:
     """Solve ``B`` heterogeneous ``(tau, p)`` systems in one call.
 
@@ -219,15 +217,6 @@ def solve_heterogeneous_batch(
         fallback.
     initial_tau:
         Optional warm start, shape ``(n,)`` or ``(B, n)``.
-    backend:
-        Compute backend for the iteration: a registered name, a
-        :class:`~repro.backends.ComputeBackend` instance, or ``None``
-        for the configured default.  Backends that accelerate the fixed
-        point (``numba``, ``cnative``, ``python``) run a per-lane damped
-        iteration; lanes they fail to converge - and all lanes on
-        backends without fixed-point support - go through this module's
-        numpy Anderson/Newton path.  Every backend is pinned to the
-        numpy solution within ``1e-9`` by the equivalence suite.
 
     Returns
     -------
@@ -241,12 +230,6 @@ def solve_heterogeneous_batch(
     """
     w = _validate_batch_windows(windows)
     n_batch, n_nodes = w.shape
-    backend_obj = (
-        backend
-        if isinstance(backend, ComputeBackend)
-        else resolve_backend(backend)
-    )
-    native = backend_obj.supports_fixed_point
 
     if n_nodes == 1:
         # A lone node never collides: p = 0, tau = tau(W, 0), exactly.
@@ -270,23 +253,6 @@ def solve_heterogeneous_batch(
         tau = np.clip(tau, _TAU_MIN, _TAU_MAX)
     else:
         tau = np.full_like(w, 0.1)
-
-    if native:
-        # The backend runs a per-lane damped iteration in compiled code;
-        # lanes it reports unconverged fall through to the Newton
-        # fallback exactly like Anderson stragglers.
-        tau, iterations, converged = backend_obj.solve_batch(
-            w,
-            max_stage,
-            tol=tol,
-            max_iterations=max_iterations,
-            initial_tau=tau,
-        )
-        active = np.flatnonzero(~converged)
-        return _finalize_batch(
-            w, tau, iterations, active, max_stage, tol,
-            method=f"damped-{backend_obj.name}",
-        )
 
     iterations = np.zeros(n_batch, dtype=np.int64)
     active = np.arange(n_batch)
@@ -328,9 +294,7 @@ def solve_heterogeneous_batch(
         f_prev = f[keep]
         x = x_next[keep]
 
-    return _finalize_batch(
-        w, tau, iterations, active, max_stage, tol, method="anderson"
-    )
+    return _finalize_batch(w, tau, iterations, active, max_stage, tol)
 
 
 def _finalize_batch(
@@ -340,15 +304,11 @@ def _finalize_batch(
     active: IntArray,
     max_stage: int,
     tol: float,
-    *,
-    method: str,
 ) -> BatchedFixedPoint:
     """Newton-finish stragglers, then validate and package the batch.
 
-    Shared by the numpy Anderson path and every accelerated backend:
-    ``active`` indexes the lanes whose iteration did not converge, and
-    the residual/contract checks below hold regardless of which kernel
-    produced ``tau`` - this is what makes backends interchangeable.
+    ``active`` indexes the lanes whose Anderson iteration did not
+    converge.
     """
     n_batch = w.shape[0]
     newton = np.zeros(n_batch, dtype=bool)
@@ -378,7 +338,7 @@ def _finalize_batch(
         _obs_inc("bianchi.solves", n_batch, kind="heterogeneous")
         if n_batch > newton_count:
             _obs_inc(
-                "bianchi.method", n_batch - newton_count, method=method
+                "bianchi.method", n_batch - newton_count, method="anderson"
             )
         if newton_count:
             _obs_inc("bianchi.method", newton_count, method="newton")

@@ -336,13 +336,6 @@ def run_campaign(
         :func:`~repro.store.journal.default_writer_id`, so concurrent
         shard processes are always claim-protected against each other.
 
-    Notes
-    -----
-    A spec's ``backend`` field is pinned around every executed task
-    (highest selection precedence, above the CLI flag and the
-    environment variable); like ``jobs`` it never enters task digests,
-    so cached results are shared across backends.
-
     Returns
     -------
     CampaignReport
@@ -430,7 +423,6 @@ def run_campaign(
             worker_tasks,
             jobs=jobs if jobs is not None else spec.jobs,
             on_result=_commit,
-            backend=spec.backend,
         )
     except KeyboardInterrupt:
         interrupted = True

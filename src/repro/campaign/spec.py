@@ -6,7 +6,6 @@ TOML or JSON document::
     name = "cw-sweep"                  # optional; defaults to file stem
     experiment = "table2"
     jobs = 4                           # optional worker count
-    backend = "cnative"                # optional compute backend
 
     [params]                           # fixed overrides for every task
     slots_per_point = 40000
@@ -28,11 +27,8 @@ the seed policy is a pure function of the base seed and task index - so
 the same spec always expands to the same task list with the same
 content digests, which is what makes resume-by-store-membership exact.
 
-``jobs`` and ``backend`` are speed knobs: neither enters the task
-digests (every compute backend is pinned to the numpy reference by
-equivalence tests), so changing them never invalidates cached results.
-A spec's ``backend`` outranks the CLI ``--backend`` flag, which in turn
-outranks the ``REPRO_BACKEND`` environment variable.
+``jobs`` is a speed knob: it never enters the task digests, so
+changing it never invalidates cached results.
 """
 
 from __future__ import annotations
@@ -46,8 +42,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.backends import get_backend
-from repro.errors import BackendError, CampaignError
+from repro.errors import CampaignError
 from repro.experiments.registry import get_experiment
 from repro.store.digest import compute_digest
 
@@ -76,7 +71,6 @@ class CampaignSpec:
     seed_base: int = 0
     seed_policy: str = "spawn"
     jobs: Optional[int] = None
-    backend: Optional[str] = None
 
     @property
     def n_tasks(self) -> int:
@@ -113,8 +107,7 @@ def spec_from_dict(
     if not isinstance(data, Mapping):
         raise CampaignError("campaign spec must be a table/object at top level")
     unknown = set(data) - {
-        "name", "experiment", "jobs", "backend", "params", "grid", "zip",
-        "seeds",
+        "name", "experiment", "jobs", "params", "grid", "zip", "seeds",
     }
     if unknown:
         raise CampaignError(
@@ -186,19 +179,6 @@ def spec_from_dict(
     ):
         raise CampaignError(f"jobs must be an integer >= 0, got {jobs!r}")
 
-    backend = data.get("backend")
-    if backend is not None:
-        if not isinstance(backend, str) or not backend:
-            raise CampaignError(
-                f"backend must be a backend name string, got {backend!r}"
-            )
-        try:
-            # Registered names only; availability is checked at run time
-            # (an unavailable backend falls back to numpy with a warning).
-            get_backend(backend)
-        except BackendError as error:
-            raise CampaignError(str(error)) from error
-
     spec_name = data.get("name", name)
     if spec_name is None:
         spec_name = experiment_id
@@ -215,7 +195,6 @@ def spec_from_dict(
         seed_base=seed_base,
         seed_policy=seed_policy,
         jobs=jobs,
-        backend=backend,
     )
 
 

@@ -3,11 +3,10 @@
 Installed as ``repro-experiments``::
 
     repro-experiments list                    # every registered experiment
-    repro-experiments backends                # compute backends + availability
+    repro-experiments backends                # which simulator path runs, and why
     repro-experiments run table2              # regenerate one artefact
     repro-experiments run table2 --quick      # reduced simulation size
     repro-experiments run table3 --jobs 4     # sweep on 4 worker processes
-    repro-experiments run table3 --backend cnative   # compiled hot kernels
     repro-experiments run-all --quick         # the whole evaluation
     repro-experiments store ls                # stored runs, newest first
     repro-experiments store show <digest>     # manifest + rendered artefact
@@ -55,7 +54,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro import backends as _backends
+from repro.backends import kernel_note
 from repro import obs
 from repro.campaign import campaign_status, load_spec, parse_shard, run_campaign
 from repro.errors import IntegrityError, ReproError, StoreError
@@ -119,17 +118,6 @@ def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="compute backend for the hot kernels "
-        "(see 'repro-experiments backends'; default: $REPRO_BACKEND "
-        "or numpy; a campaign spec's 'backend' field outranks this flag)",
-    )
-
-
 def _add_store_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store",
@@ -166,10 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="arguments forwarded to python -m repro.lint",
     )
 
-    backends_cmd = commands.add_parser(
-        "backends", help="list compute backends and their availability"
+    commands.add_parser(
+        "backends",
+        help="say whether the simulator kernel runs compiled or as the "
+        "numpy loop, and why",
     )
-    _add_backend_option(backends_cmd)
 
     run = commands.add_parser("run", help="run one experiment")
     run.add_argument("experiment_id", choices=sorted(EXPERIMENTS))
@@ -177,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true", help="reduced simulation size"
     )
     _add_jobs_option(run)
-    _add_backend_option(run)
     run.add_argument(
         "--no-cache",
         action="store_true",
@@ -190,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true", help="reduced simulation size"
     )
     _add_jobs_option(run_all)
-    _add_backend_option(run_all)
     run_all.add_argument(
         "--no-cache",
         action="store_true",
@@ -261,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_run.add_argument("spec", help="path to a .toml/.json spec")
     _add_jobs_option(campaign_run)
-    _add_backend_option(campaign_run)
     campaign_run.add_argument(
         "--no-cache",
         action="store_true",
@@ -513,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="solve every request fresh instead of serving from the store",
     )
-    _add_backend_option(serve)
     _add_store_option(serve)
 
     bench_serve = commands.add_parser(
@@ -532,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="reduced concurrency levels and probe sizes (CI)",
     )
-    _add_backend_option(bench_serve)
 
     return parser
 
@@ -900,43 +884,12 @@ def _serve_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _install_backend(name: Optional[str]) -> Optional[int]:
-    """Apply a ``--backend`` flag; returns an exit code on failure.
-
-    Installs the name as the process-wide default *and* exports
-    ``REPRO_BACKEND`` so pool worker processes inherit the selection
-    regardless of start method.  A campaign spec's ``backend`` field
-    still outranks this (it is pinned around each task).
-    """
-    if name is None:
-        return None
-    try:
-        _backends.set_default_backend(name)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    os.environ[_backends.ENV_BACKEND] = name
-    return None
-
-
-def _list_backends() -> int:
-    default = _backends.default_backend_name()
-    width = max(len(name) for name in _backends.backend_names())
-    for name, note in _backends.describe_backends().items():
-        marker = "*" if name == default else " "
-        print(f"{marker} {name.ljust(width)}  {note}")
-    print("(* = configured default)")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    failure = _install_backend(getattr(args, "backend", None))
-    if failure is not None:
-        return failure
     if args.command == "backends":
-        return _list_backends()
+        print(f"numpy: {kernel_note()}")
+        return 0
     if args.command == "lint":
         from repro.lint.cli import main as lint_main
 

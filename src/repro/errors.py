@@ -99,11 +99,11 @@ class CampaignError(ReproError, ValueError):
 
 
 class BackendError(ReproError, RuntimeError):
-    """A compute backend is unknown, unavailable or misbehaved.
+    """The simulator kernel's compiled replay cannot be built or run.
 
-    Raised by :mod:`repro.backends` when a requested backend name is not
-    registered, when ``fallback=False`` resolution hits an unavailable
-    backend, or when a native kernel fails to build/load.
+    Raised by :mod:`repro.backends` when the C replay cannot be built or
+    loaded (the kernel then runs its numpy loop instead) or is handed
+    state that does not match its window matrix.
     """
 
 

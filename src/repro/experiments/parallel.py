@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
-from repro.backends import use_backend
 from repro.errors import ParameterError
 from repro.obs import (
     MemoryRecorder,
@@ -90,27 +89,6 @@ class _WorkerBatch:
 
 
 @dataclass
-class _BackendCall:
-    """Picklable wrapper pinning the compute backend around ``fn``.
-
-    Worker processes do not share the parent's in-process backend
-    override (:func:`repro.backends.set_default_backend`), so an
-    explicit selection - a campaign spec's ``backend`` field, say - is
-    carried inside the task callable and re-installed scoped around
-    each task, in the worker for pool runs and in-process for serial
-    runs.  The environment-variable default still propagates to workers
-    on its own (children inherit ``os.environ``).
-    """
-
-    fn: Callable[[Any], Any]
-    backend: str
-
-    def __call__(self, task: Any) -> Any:
-        with use_backend(self.backend):
-            return self.fn(task)
-
-
-@dataclass
 class _RecordedCall:
     """Picklable wrapper running ``fn`` under a task-local recorder.
 
@@ -137,7 +115,6 @@ def parallel_map(
     *,
     jobs: Optional[int] = None,
     on_result: Optional[Callable[[int, _T, _R], None]] = None,
-    backend: Optional[str] = None,
 ) -> List[_R]:
     """Map ``fn`` over ``tasks``, optionally on a process pool.
 
@@ -151,11 +128,6 @@ def parallel_map(
     jobs:
         Worker count as in :func:`resolve_jobs`.  The pool is capped at
         ``len(tasks)`` - there is no point spawning idle processes.
-    backend:
-        Compute-backend name pinned around every task (serial or in the
-        worker process); ``None`` leaves each process's configured
-        default in force.  Like ``jobs``, this is a pure speed knob -
-        it never changes content digests.
     on_result:
         Optional ``callback(index, task, result)`` invoked **in the
         calling process**, in task order, as each result becomes
@@ -182,8 +154,6 @@ def parallel_map(
     """
     task_list = list(tasks)
     workers = min(resolve_jobs(jobs), len(task_list))
-    if backend is not None:
-        fn = _BackendCall(fn, backend)
     if not _obs_enabled():
         return _plain_map(fn, task_list, workers, on_result)
     recorder = get_recorder()

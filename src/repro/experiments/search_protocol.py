@@ -11,10 +11,10 @@ payoff measurements:
   paper's GTFT tolerance is designed for).
 
 The probes run on the vectorized kernel
-(:func:`repro.sim.vectorized.simulate`) and its configured backend, like
-the Table II/III simulations.  The default numpy backend runs the
-compiled replay of its loop where a C compiler is available and the
-loop itself otherwise, with identical seeded results on either path.
+(:func:`repro.sim.vectorized.simulate`), like the Table II/III
+simulations.  It runs the compiled replay of its numpy loop where a C
+compiler is available and the loop itself otherwise, with identical
+seeded results on either path.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ With ``--deep`` the linter additionally runs *whole-program* analyses:
 :mod:`repro.lint.graph` builds a project-wide call graph with effect
 summaries, :mod:`repro.lint.flow` runs fixpoint purity/taint dataflow
 over it, and :mod:`repro.lint.project_rules` certifies the REPRO1xx
-invariants (purity of cache-entering call trees, RNG seed provenance,
-the exception contract and cross-backend kernel parity).  SARIF output
+invariants (purity of cache-entering call trees, RNG seed provenance
+and the exception contract).  SARIF output
 and the baseline ratchet live in :mod:`repro.lint.sarif` and
 :mod:`repro.lint.baseline`.
 

@@ -36,9 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Determinism/invariant static analysis for the repro "
-            "codebase: per-file rules (REPRO001-006) plus, with "
+            "codebase: per-file rules (REPRO001-005) plus, with "
             "--deep, whole-program purity/provenance certification "
-            "(REPRO101-104)."
+            "(REPRO101-103)."
         ),
     )
     parser.add_argument(
@@ -87,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--deep",
         action="store_true",
         help=(
-            "also run the whole-program rules (REPRO101-104): call-graph "
+            "also run the whole-program rules (REPRO101-103): call-graph "
             "purity certification, RNG provenance taint, exception "
-            "contract, backend parity"
+            "contract"
         ),
     )
     parser.add_argument(

@@ -23,8 +23,8 @@ certified pure:
   ``experiments/registry.py`` module (extracted statically, so a newly
   registered experiment is certified automatically), and
 * every dotted name declared in a module-level ``ANALYSIS_ROOTS`` tuple
-  (the store/campaign/backend registries declare their cache-entering
-  dispatch targets this way).
+  (the store/campaign registries declare their cache-entering dispatch
+  targets this way).
 
 Everything in the graph is plain picklable data; :func:`load_or_build`
 caches the built graph on disk keyed by a hash of all source bytes, so

@@ -7,10 +7,10 @@ invariants:
 
 ``REPRO101``
     Purity.  Every cache-entering function (registered experiment
-    runners, the backend hot kernels, the campaign dispatch target) must
-    be transitively free of I/O, wall-clock/environment reads, entropy
-    draws, module-state mutation and unsanctioned ``repro.obs`` recorder
-    use.  Violations name the full call chain from the certification
+    runners, the serve and mean-field solvers, the campaign dispatch
+    target) must be transitively free of I/O, wall-clock/environment
+    reads, entropy draws, module-state mutation and unsanctioned
+    ``repro.obs`` recorder use.  Violations name the full call chain from the certification
     root to the impure call.
 ``REPRO102``
     RNG provenance.  Any sampling call whose generator does not flow
@@ -21,15 +21,6 @@ invariants:
     Exception contract.  Public API functions of the ``repro`` package
     raise only the :mod:`repro.errors` hierarchy (plus the conventional
     ``NotImplementedError``/``AssertionError``).
-``REPRO104``
-    Backend parity.  The three calendar kernels (python anchor, cnative
-    C transliteration, numba JIT of the python source) must share the
-    splitmix64 constants, the ``floor(u53 * bound)`` draw and the
-    canonical ascending transmitter ordering that make them
-    bit-compatible; the rule cross-checks the python AST against the
-    embedded C source so the PR 6 bit-compat contract is machine
-    enforced, not test-only.
-
 Rules register through :func:`register_project_rule`, mirroring the
 per-file plugin registry, and integrate with the same
 ``--select``/``--ignore``/noqa machinery.
@@ -37,10 +28,8 @@ per-file plugin registry, and integrate with the same
 
 from __future__ import annotations
 
-import ast
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Type
 
 from repro.errors import LintError
@@ -92,13 +81,6 @@ SANCTIONED_PURITY_BOUNDARIES: FrozenSet[str] = frozenset(
         "repro.contracts.",
         # The one sanctioned seed fallback: deterministic by definition.
         "repro.rng.resolve_rng",
-        # Backend selection reads configuration (env/CLI/campaign), not
-        # data; every backend is pinned to the numpy reference by the
-        # equivalence tests, so the choice cannot alter results.
-        "repro.backends.resolve_backend",
-        "repro.backends.get_backend",
-        "repro.backends.default_backend_name",
-        "repro.backends.use_backend",
     }
 )
 
@@ -163,21 +145,10 @@ class ProjectContext:
     roots: Tuple[str, ...] = ()
     #: Extra purity boundaries (tests extend the sanctioned set here).
     extra_boundaries: FrozenSet[str] = frozenset()
-    _source_cache: Dict[str, str] = field(default_factory=dict)
 
     @property
     def boundaries(self) -> FrozenSet[str]:
         return SANCTIONED_PURITY_BOUNDARIES | self.extra_boundaries
-
-    def source_of(self, path: str) -> str:
-        if path not in self._source_cache:
-            try:
-                self._source_cache[path] = Path(path).read_text(
-                    encoding="utf-8"
-                )
-            except OSError:
-                self._source_cache[path] = ""
-        return self._source_cache[path]
 
 
 def register_project_rule(
@@ -355,228 +326,3 @@ class ExceptionContractRule(ProjectRule):
                     "catch ReproError at the boundary",
                 )
 
-
-# ---------------------------------------------------------------------------
-# REPRO104 - backend parity
-# ---------------------------------------------------------------------------
-#: The shared splitmix64 contract, single source of truth for the check.
-_SPLITMIX_CONSTANTS: Dict[str, int] = {
-    "_SM_GAMMA": 0x9E3779B97F4A7C15,
-    "_SM_MUL1": 0xBF58476D1CE4E5B9,
-    "_SM_MUL2": 0x94D049BB133111EB,
-}
-_SPLITMIX_SHIFTS: Dict[str, int] = {
-    "_SH30": 30,
-    "_SH27": 27,
-    "_SH31": 31,
-    "_SH11": 11,
-}
-_U53_DENOMINATOR = 9007199254740992.0  # 2**53
-
-
-@register_project_rule
-class BackendParityRule(ProjectRule):
-    """REPRO104: python/C/numba calendar kernels stay bit-compatible."""
-
-    code = "REPRO104"
-    summary = (
-        "calendar-kernel backends diverge on splitmix64 constants, the "
-        "u53 draw or the canonical transmitter ordering"
-    )
-
-    def _module_path(
-        self, context: ProjectContext, module: str
-    ) -> Optional[str]:
-        info = context.graph.modules.get(module)
-        return info.path if info is not None else None
-
-    def check_project(self, context: ProjectContext) -> Iterator[Violation]:
-        kernels_path = self._module_path(
-            context, "repro.backends.calendar_kernels"
-        )
-        cnative_path = self._module_path(
-            context, "repro.backends.cnative_backend"
-        )
-        numba_path = self._module_path(
-            context, "repro.backends.numba_backend"
-        )
-        if kernels_path is None or cnative_path is None:
-            return  # backends not part of this scan; nothing to certify
-        yield from self._check_python_constants(context, kernels_path)
-        yield from self._check_c_source(context, cnative_path)
-        if numba_path is not None:
-            yield from self._check_numba_shares_source(context, numba_path)
-
-    # -- python anchor --------------------------------------------------
-    def _python_assignments(
-        self, context: ProjectContext, path: str
-    ) -> Dict[str, object]:
-        values: Dict[str, object] = {}
-        try:
-            tree = ast.parse(context.source_of(path))
-        except SyntaxError:
-            return values
-        for node in ast.iter_child_nodes(tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                value = node.value
-                if (
-                    isinstance(value, ast.Call)
-                    and value.args
-                    and isinstance(value.args[0], ast.Constant)
-                ):
-                    values[target.id] = value.args[0].value
-                elif isinstance(value, ast.Constant):
-                    values[target.id] = value.value
-                elif (
-                    isinstance(value, ast.BinOp)
-                    and isinstance(value.op, ast.Div)
-                    and isinstance(value.left, ast.Constant)
-                    and isinstance(value.right, ast.Constant)
-                    and value.right.value
-                ):
-                    values[target.id] = (
-                        value.left.value / value.right.value,
-                        value.right.value,
-                    )
-        return values
-
-    def _check_python_constants(
-        self, context: ProjectContext, path: str
-    ) -> Iterator[Violation]:
-        values = self._python_assignments(context, path)
-        for name, expected in _SPLITMIX_CONSTANTS.items():
-            actual = values.get(name)
-            if actual != expected:
-                yield self.violation(
-                    path,
-                    1,
-                    1,
-                    f"python calendar kernel constant {name} is "
-                    f"{actual!r}, expected {hex(expected)}; the splitmix64 "
-                    "stream must match the cnative/numba backends exactly",
-                )
-        for name, expected in _SPLITMIX_SHIFTS.items():
-            actual = values.get(name)
-            if actual != expected:
-                yield self.violation(
-                    path,
-                    1,
-                    1,
-                    f"python calendar kernel shift {name} is {actual!r}, "
-                    f"expected {expected}; splitmix64 mixing must match "
-                    "the C transliteration",
-                )
-        inv = values.get("_INV_2_53")
-        denominator = inv[1] if isinstance(inv, tuple) else None
-        if denominator != _U53_DENOMINATOR and denominator != int(
-            _U53_DENOMINATOR
-        ):
-            yield self.violation(
-                path,
-                1,
-                1,
-                "_INV_2_53 must be 1.0 / 9007199254740992.0 (2**-53): the "
-                "floor(u53 * bound) draw is part of the bit-compat "
-                "contract",
-            )
-        source = context.source_of(path)
-        if "due[b] > v" not in source:
-            yield self.violation(
-                path,
-                1,
-                1,
-                "python sim kernel lost the canonical ascending "
-                "transmitter insertion sort (due[b] > v); per-slot "
-                "processing order is part of the bit-compat contract",
-            )
-
-    # -- C transliteration ----------------------------------------------
-    def _check_c_source(
-        self, context: ProjectContext, path: str
-    ) -> Iterator[Violation]:
-        source = context.source_of(path)
-        for name, expected in _SPLITMIX_CONSTANTS.items():
-            pattern = re.compile(
-                r"0x%X" % expected, re.IGNORECASE
-            )
-            if not pattern.search(source):
-                yield self.violation(
-                    path,
-                    1,
-                    1,
-                    f"cnative C source is missing splitmix64 constant "
-                    f"{hex(expected)} ({name}); the C kernels must consume "
-                    "the same per-lane streams as the python anchor",
-                )
-        for shift in sorted(set(_SPLITMIX_SHIFTS.values())):
-            if not re.search(r">>\s*%d\b" % shift, source):
-                yield self.violation(
-                    path,
-                    1,
-                    1,
-                    f"cnative C source is missing the '>> {shift}' "
-                    "splitmix64 shift; mixing must match the python "
-                    "anchor",
-                )
-        if "9007199254740992.0" not in source:
-            yield self.violation(
-                path,
-                1,
-                1,
-                "cnative C source lost the 1.0/9007199254740992.0 (2**-53) "
-                "u53 mapping of the floor(u53 * bound) draw",
-            )
-        if "due[b] > v" not in source:
-            yield self.violation(
-                path,
-                1,
-                1,
-                "cnative C source lost the canonical ascending transmitter "
-                "insertion sort (due[b] > v); per-slot processing order is "
-                "part of the bit-compat contract",
-            )
-
-    # -- numba shares the python source ---------------------------------
-    def _check_numba_shares_source(
-        self, context: ProjectContext, path: str
-    ) -> Iterator[Violation]:
-        try:
-            tree = ast.parse(context.source_of(path))
-        except SyntaxError:
-            return
-        imported: set = set()
-        redefined: List[Tuple[str, int]] = []
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.ImportFrom)
-                and node.module == "repro.backends.calendar_kernels"
-            ):
-                imported.update(name.name for name in node.names)
-            elif isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and node.name in ("sim_chunk_kernel", "fixed_point_kernel"):
-                redefined.append((node.name, node.lineno))
-        for name in ("sim_chunk_kernel", "fixed_point_kernel"):
-            if name not in imported:
-                yield self.violation(
-                    path,
-                    1,
-                    1,
-                    f"numba backend must JIT-compile {name} from "
-                    "repro.backends.calendar_kernels (shared source is "
-                    "what guarantees numba/python bit-compatibility), but "
-                    "the import is missing",
-                )
-        for name, line in redefined:
-            yield self.violation(
-                path,
-                line,
-                1,
-                f"numba backend redefines {name} instead of compiling the "
-                "shared calendar_kernels source; diverging kernel bodies "
-                "break the cross-backend bit-compat contract",
-            )

@@ -24,10 +24,6 @@ conventions:
 ``REPRO005``
     Experiment module defining ``run()`` but missing from
     ``repro.experiments.registry``.
-``REPRO006``
-    Direct ``np.``/``numpy.`` call inside an ``xp``-parameterized kernel
-    body; array-API-generic code must route every array operation
-    through the ``xp`` namespace argument.
 """
 
 from __future__ import annotations
@@ -491,56 +487,3 @@ class UnregisteredExperimentRule(LintRule):
                 )
                 return
 
-
-@register_rule
-class NumpyInXpKernelRule(LintRule):
-    """REPRO006: ``xp``-generic kernels must not hard-code numpy.
-
-    A function that accepts an ``xp`` array-namespace parameter (the
-    convention :func:`repro.backends.get_namespace` serves) advertises
-    that it works on any array-API family - CuPy arrays included.  A
-    direct ``np.*`` call inside such a body silently converts device
-    arrays to host numpy (or crashes), defeating the parameterization;
-    every array operation must go through ``xp`` instead.  Scalar
-    helpers that never touch the arrays (``math.*``) are fine and not
-    flagged.
-    """
-
-    code = "REPRO006"
-    summary = (
-        "direct numpy call inside an xp-parameterized kernel body "
-        "(route it through xp)"
-    )
-
-    def check_module(
-        self, context: "ModuleContext"
-    ) -> Iterator["Violation"]:
-        for node in ast.walk(context.tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            arguments = node.args
-            names = {
-                arg.arg
-                for arg in (
-                    *arguments.posonlyargs,
-                    *arguments.args,
-                    *arguments.kwonlyargs,
-                )
-            }
-            if "xp" not in names:
-                continue
-            for inner in ast.walk(node):
-                if not isinstance(inner, ast.Call):
-                    continue
-                canonical = context.resolve(inner.func)
-                if canonical is None or not canonical.startswith("numpy."):
-                    continue
-                yield self.violation(
-                    context,
-                    inner,
-                    f"{node.name}() takes an 'xp' namespace but calls "
-                    f"{canonical}() directly; use the xp argument so the "
-                    "kernel stays array-API generic",
-                )

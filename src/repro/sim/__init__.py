@@ -14,9 +14,10 @@ level of the analysis (see DESIGN.md for the substitution argument):
 * :mod:`repro.sim.vectorized` - struct-of-arrays kernel with a batch
   axis: statistically equivalent to the reference engine but runs many
   replicas / grid points per call at 10-40x the slot throughput
-  (``run_batch``), dispatching its inner loop through the pluggable
-  compute backends of :mod:`repro.backends`, plus the ``simulate``
-  engine dispatch;
+  (``run_batch``), running its inner loop on the one simulator kernel
+  of :mod:`repro.backends` (compiled where a C compiler is at hand, the
+  numpy loop otherwise, bit-identical either way), plus the
+  ``simulate`` engine dispatch;
 * :mod:`repro.sim.streaming` - Welford accumulators folding
   per-interval estimates out of chunked runs in ``O(batch x n)``
   memory;

@@ -13,12 +13,12 @@ Long idle stretches are event-advanced: the engine jumps straight to the
 next slot in which some counter reaches zero, so simulation cost scales
 with the number of *transmissions*, not slots.
 
-This engine deliberately stays outside the compute-backend registry
-(:mod:`repro.backends`): it is the ground truth the backend equivalence
-tests compare against, so it must never itself be re-dispatched through
-the machinery under test.  Callers that want the pluggable/accelerated
-path use :func:`repro.sim.vectorized.run_batch` (or ``simulate`` with
-``engine="vectorized"``) and pick a backend there.
+This engine deliberately stays apart from the vectorized simulator
+kernel (:mod:`repro.backends`): it is the statistical ground truth the
+kernel's equivalence tests compare against, so it must never itself run
+on the machinery under test.  Callers that want the fast path use
+:func:`repro.sim.vectorized.run_batch` (or ``simulate`` with
+``engine="vectorized"``).
 """
 
 from __future__ import annotations

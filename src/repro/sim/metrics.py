@@ -21,7 +21,6 @@ __all__ = ["ChannelCounters", "NodeCounters", "batch_estimates"]
 
 
 def batch_estimates(
-    xp: Any,
     attempts: Any,
     successes: Any,
     collisions: Any,
@@ -34,25 +33,21 @@ def batch_estimates(
     """Vectorized end-of-run estimators on ``(batch, n)`` counter arrays.
 
     The batched counterpart of the :class:`ChannelCounters` estimator
-    methods, shared by every compute backend's finalization path.
-    Written against the ``xp`` array namespace (see
-    :mod:`repro.backends.array_api`) so array-API libraries can flow
-    through unchanged; returns ``(tau, collision, payoff_rates,
-    throughput)``.
+    methods; returns ``(tau, collision, payoff_rates, throughput)``.
     """
     total = slots_done[:, None]
     tau = attempts / total
-    one = xp.ones_like(attempts)
-    collision = xp.where(
+    one = np.ones_like(attempts)
+    collision = np.where(
         attempts > 0,
-        collisions / xp.maximum(attempts, one),
-        xp.zeros_like(tau),
+        collisions / np.maximum(attempts, one),
+        np.zeros_like(tau),
     )
     payoff_rates = (
         successes * gain - attempts * cost
     ) / elapsed_us[:, None]
     throughput = (
-        xp.sum(successes, axis=1) * payload_time_us / elapsed_us
+        np.sum(successes, axis=1) * payload_time_us / elapsed_us
     )
     return tau, collision, payoff_rates, throughput
 

@@ -10,12 +10,6 @@ statistics (means and across-interval variances) come out of a run
 without ever materialising an array with a slots-sized axis; the
 regression test ``tests/unit/test_streaming_memory.py`` pins that bound
 with ``tracemalloc``.
-
-Everything here is plain array math written against an ``xp`` namespace
-parameter (see :mod:`repro.backends.array_api`), so the accumulators
-work unchanged on any array-API library a future backend computes with;
-lint rule ``REPRO006`` keeps direct ``numpy`` calls out of these
-functions.
 """
 
 from __future__ import annotations
@@ -23,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
-from repro.backends.array_api import get_namespace
+import numpy as np
+
 from repro.errors import SimulationError
 
 __all__ = [
@@ -49,10 +44,9 @@ class WelfordAccumulator:
 
     def update(self, sample: Any) -> None:
         """Fold one sample array into the running moments."""
-        xp = get_namespace(sample, self.mean)
         if self.count == 0:
-            self.mean = xp.zeros_like(sample)
-            self._m2 = xp.zeros_like(sample)
+            self.mean = np.zeros_like(sample)
+            self._m2 = np.zeros_like(sample)
         self.count += 1
         delta = sample - self.mean
         self.mean = self.mean + delta / self.count
@@ -78,12 +72,10 @@ class WelfordAccumulator:
         if other.count == 0:
             return
         if self.count == 0:
-            xp = get_namespace(other.mean)
             self.count = other.count
-            self.mean = other.mean + xp.zeros_like(other.mean)
-            self._m2 = other._m2 + xp.zeros_like(other._m2)
+            self.mean = other.mean + np.zeros_like(other.mean)
+            self._m2 = other._m2 + np.zeros_like(other._m2)
             return
-        xp = get_namespace(self.mean, other.mean)
         count = self.count + other.count
         delta = other.mean - self.mean
         self.mean = self.mean + delta * (other.count / count)
@@ -98,15 +90,13 @@ class WelfordAccumulator:
         """Unbiased across-sample variance (zeros until two samples)."""
         if self.count == 0:
             raise SimulationError("no samples folded into accumulator")
-        xp = get_namespace(self.mean)
         if self.count < 2:
-            return xp.zeros_like(self.mean)
+            return np.zeros_like(self.mean)
         return self._m2 / (self.count - 1)
 
     def std(self) -> Any:
         """Across-sample standard deviation."""
-        xp = get_namespace(self.mean)
-        return xp.sqrt(self.variance())
+        return np.sqrt(self.variance())
 
 
 @dataclass
@@ -152,7 +142,6 @@ class StreamingStats:
 
 
 def interval_estimates(
-    xp: Any,
     delta_attempts: Any,
     delta_successes: Any,
     delta_busy: Any,
@@ -174,13 +163,13 @@ def interval_estimates(
     slots = delta_slots[:, None]
     tau = delta_attempts / slots
     delta_collisions = delta_attempts - delta_successes
-    one = xp.ones_like(delta_attempts)
-    collision = xp.where(
+    one = np.ones_like(delta_attempts)
+    collision = np.where(
         delta_attempts > 0,
-        delta_collisions / xp.maximum(delta_attempts, one),
-        xp.zeros_like(tau),
+        delta_collisions / np.maximum(delta_attempts, one),
+        np.zeros_like(tau),
     )
-    success_slots = xp.sum(delta_successes, axis=1)
+    success_slots = np.sum(delta_successes, axis=1)
     collision_slots = delta_busy - success_slots
     idle_slots = delta_slots - delta_busy
     elapsed_us = (

@@ -26,15 +26,14 @@ give *distributionally* identical, not bit-identical, runs
 (``tests/unit/test_sim_vectorized.py`` pins the equivalence against both
 the reference engine and the :mod:`repro.bianchi` fixed point).
 
-The inner loop itself is pluggable: :func:`run_batch` dispatches to a
-:class:`repro.backends.ComputeBackend` (numpy reference, numba JIT,
-self-compiled C, interpreted calendar queue - see :mod:`repro.backends`)
-through a *chunked* protocol, and an optional ``stats_interval`` folds
-per-interval estimates into streaming Welford accumulators
-(:mod:`repro.sim.streaming`) so time-resolved statistics never
-materialise a slots-sized axis.  The default numpy backend run as a
-single chunk consumes the random stream in exactly the pre-backend
-order, so seeded artefacts are bit-identical across this refactor.
+The inner loop is the one simulator kernel of :mod:`repro.backends`,
+run compiled where a C compiler is at hand and as the numpy loop
+otherwise, with bit-identical results.  It advances in *chunks*, and an
+optional ``stats_interval`` folds per-interval estimates into streaming
+Welford accumulators (:mod:`repro.sim.streaming`) so time-resolved
+statistics never materialise a slots-sized axis.  A run without
+``stats_interval`` is one chunk, which consumes the random stream in the
+order every seeded artefact is pinned to.
 """
 
 from __future__ import annotations
@@ -48,12 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - circular at runtime only
 import numpy as np
 
 from repro.typealiases import FloatArray, IntArray
-from repro.backends import (
-    ComputeBackend,
-    SimChunkState,
-    get_namespace,
-    resolve_backend,
-)
+from repro.backends import SimChunkState, sim_chunk
 from repro.contracts import check_probability, check_window, checks_enabled
 from repro.errors import ParameterError, SimulationError
 from repro.obs import enabled as _obs_enabled
@@ -68,8 +62,6 @@ from repro.sim.streaming import StreamingStats, interval_estimates
 __all__ = ["BatchResult", "run_batch", "simulate"]
 
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
-
-BackendLike = Union[None, str, ComputeBackend]
 
 
 @dataclass(frozen=True)
@@ -98,8 +90,6 @@ class BatchResult:
         Per-node measured payoff per microsecond.
     throughput:
         Per-replica normalized channel throughput, shape ``(batch,)``.
-    backend:
-        Name of the compute backend that ran the kernel.
     streaming:
         Per-interval Welford moments when the run was chunked with
         ``stats_interval``; ``None`` for single-chunk runs.
@@ -117,7 +107,6 @@ class BatchResult:
     collision: FloatArray
     payoff_rates: FloatArray
     throughput: FloatArray
-    backend: str = "numpy"
     streaming: Optional[StreamingStats] = None
 
     @property
@@ -187,7 +176,6 @@ def run_batch(
     *,
     n_slots: int,
     seed: SeedLike = None,
-    backend: BackendLike = None,
     stats_interval: Optional[int] = None,
 ) -> BatchResult:
     """Simulate a batch of independent replicas with the vectorized kernel.
@@ -208,13 +196,6 @@ def run_batch(
         ``None``, an int, a :class:`numpy.random.SeedSequence` or a
         :class:`numpy.random.Generator`.  One stream drives the whole
         batch; replicas are independent because their state arrays are.
-    backend:
-        Compute backend running the inner loop: a registered name, a
-        :class:`~repro.backends.ComputeBackend` instance, or ``None``
-        for the configured default (``REPRO_BACKEND`` environment
-        variable, CLI ``--backend``, campaign ``backend:`` field; numpy
-        otherwise).  Unavailable backends fall back to numpy with a
-        warning.
     stats_interval:
         When set, run the kernel in chunks of this many virtual slots
         and fold per-interval estimates into streaming Welford
@@ -232,11 +213,6 @@ def run_batch(
             f"stats_interval must be >= 1, got {stats_interval!r}"
         )
     window_matrix = np.ascontiguousarray(_as_window_matrix(windows))
-    resolved = (
-        backend
-        if isinstance(backend, ComputeBackend)
-        else resolve_backend(backend)
-    )
     if not _obs_enabled():
         return _run_batch_impl(
             window_matrix,
@@ -244,45 +220,38 @@ def run_batch(
             mode,
             n_slots=n_slots,
             seed=seed,
-            backend=resolved,
             stats_interval=stats_interval,
         )
     batch, n_nodes = window_matrix.shape
     with _obs_span(
         "sim.run_batch",
         engine="vectorized",
-        backend=resolved.name,
         batch=batch,
         n_nodes=n_nodes,
         n_slots=n_slots,
     ):
-        with _obs_rate_gauge(
-            "sim.slots_per_sec", engine="vectorized", backend=resolved.name
-        ) as probe:
+        with _obs_rate_gauge("sim.slots_per_sec", engine="vectorized") as probe:
             result = _run_batch_impl(
                 window_matrix,
                 params,
                 mode,
                 n_slots=n_slots,
                 seed=seed,
-                backend=resolved,
                 stats_interval=stats_interval,
             )
             probe.count = float(result.total_slots.sum())
-        _obs_inc(
-            "sim.runs", batch, engine="vectorized", backend=resolved.name
-        )
+        _obs_inc("sim.runs", batch, engine="vectorized")
         _obs_inc(
             "sim.slots", int(result.idle_slots.sum()),
-            engine="vectorized", backend=resolved.name, kind="idle",
+            engine="vectorized", kind="idle",
         )
         _obs_inc(
             "sim.slots", int(result.success_slots.sum()),
-            engine="vectorized", backend=resolved.name, kind="success",
+            engine="vectorized", kind="success",
         )
         _obs_inc(
             "sim.slots", int(result.collision_slots.sum()),
-            engine="vectorized", backend=resolved.name, kind="collision",
+            engine="vectorized", kind="collision",
         )
     return result
 
@@ -294,26 +263,23 @@ def _run_batch_impl(
     *,
     n_slots: int,
     seed: SeedLike,
-    backend: ComputeBackend,
     stats_interval: Optional[int],
 ) -> BatchResult:
-    """Drive the backend kernel on a validated ``(batch, n)`` matrix."""
+    """Drive the simulator kernel on a validated ``(batch, n)`` matrix."""
     batch, n_nodes = window_matrix.shape
     max_stage = params.max_backoff_stage
     times: SlotTimes = slot_times(params, mode)
     state = SimChunkState.allocate(
-        batch, n_nodes, backend.init_sim_rng(seed, batch)
+        batch, n_nodes, np.random.default_rng(seed)
     )
 
     streaming: Optional[StreamingStats] = None
     if stats_interval is None:
-        # One chunk covering the whole budget: on the numpy backend this
-        # consumes the random stream in exactly the pre-backend order,
-        # keeping seeded artefacts bit-identical.
-        backend.sim_chunk(window_matrix, max_stage, n_slots, state)
+        # One chunk covering the whole budget: the stream order every
+        # seeded artefact is pinned to.
+        sim_chunk(window_matrix, max_stage, n_slots, state)
     else:
         streaming = StreamingStats(interval_slots=stats_interval)
-        xp = get_namespace(state.attempts)
         prev_attempts = state.attempts.copy()
         prev_successes = state.successes.copy()
         prev_busy = state.busy_count.copy()
@@ -321,9 +287,8 @@ def _run_batch_impl(
         done = 0
         while done < n_slots:
             target = min(done + stats_interval, n_slots)
-            backend.sim_chunk(window_matrix, max_stage, target, state)
+            sim_chunk(window_matrix, max_stage, target, state)
             tau_i, collision_i, throughput_i = interval_estimates(
-                xp,
                 state.attempts - prev_attempts,
                 state.successes - prev_successes,
                 state.busy_count - prev_busy,
@@ -345,8 +310,8 @@ def _run_batch_impl(
     busy_count = state.busy_count
     slots_done = state.slots_done
     if np.any(slots_done < n_slots):
-        raise SimulationError(  # pragma: no cover - backend bug guard
-            f"backend {backend.name!r} left lanes short of the slot budget"
+        raise SimulationError(  # pragma: no cover - kernel bug guard
+            "the simulator kernel left lanes short of the slot budget"
         )
     if np.any(slots_done <= 0):
         raise SimulationError("no slots simulated")  # pragma: no cover
@@ -363,9 +328,7 @@ def _run_batch_impl(
         + collision_slots * times.collision_us
     )
 
-    xp = get_namespace(attempts)
     tau, collision_prob, payoff_rates, throughput = batch_estimates(
-        xp,
         attempts,
         successes,
         collisions,
@@ -396,7 +359,6 @@ def _run_batch_impl(
         collision=collision_prob,
         payoff_rates=payoff_rates,
         throughput=throughput,
-        backend=backend.name,
         streaming=streaming,
     )
 
@@ -409,7 +371,6 @@ def simulate(
     n_slots: int,
     seed: SeedLike = None,
     engine: str = "vectorized",
-    backend: BackendLike = None,
     observer: Optional[SlotObserver] = None,
 ) -> SimulationResult:
     """Run one single-collision-domain simulation on a selected engine.
@@ -419,9 +380,7 @@ def simulate(
     the vectorized kernel (``engine="vectorized"``); both return the same
     :class:`repro.sim.engine.SimulationResult` type, so call sites choose
     purely on speed.  An ``observer`` forces the reference engine - the
-    vectorized kernel does not replay per-slot events.  ``backend``
-    selects the vectorized kernel's compute backend (ignored by the
-    reference engine).
+    vectorized kernel does not replay per-slot events.
     """
     if engine not in ("vectorized", "reference"):
         raise ParameterError(
@@ -439,7 +398,6 @@ def simulate(
         mode,
         n_slots=n_slots,
         seed=seed,
-        backend=backend,
     )
     counters = batch.replica_counters(0)
     return SimulationResult(

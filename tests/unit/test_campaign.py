@@ -46,6 +46,9 @@ class TestSpecValidation:
     def test_unknown_top_level_keys_rejected(self):
         with pytest.raises(CampaignError):
             spec_from_dict({"experiment": "table1", "grids": {}})
+        # Specs written for the retired backend registry name the key.
+        with pytest.raises(CampaignError, match="'backend'"):
+            spec_from_dict({"experiment": "table1", "backend": "cnative"})
 
     def test_empty_axis_rejected(self):
         with pytest.raises(CampaignError):

@@ -201,68 +201,6 @@ class TestUnregisteredExperiment:
         assert check_source(source, "experiments/orphan.py") == []
 
 
-# ----------------------------------------------------------------- REPRO006
-class TestNumpyInXpKernel:
-    def test_flags_direct_numpy_call(self):
-        source = (
-            "import numpy as np\n"
-            "def kernel(xp, a):\n"
-            "    return np.sum(a)\n"
-        )
-        found = check_source(source)
-        assert codes(found) == ["REPRO006"]
-        assert found[0].line == 3
-
-    def test_resolves_import_spelling(self):
-        source = (
-            "from numpy import where\n"
-            "def kernel(xp, a, b):\n"
-            "    return where(a, a, b)\n"
-        )
-        assert codes(check_source(source)) == ["REPRO006"]
-
-    def test_accepts_xp_generic_body(self):
-        source = (
-            "def kernel(xp, a):\n"
-            "    one = xp.ones_like(a)\n"
-            "    return xp.where(a > one, a, one)\n"
-        )
-        assert check_source(source) == []
-
-    def test_ignores_functions_without_xp(self):
-        source = (
-            "import numpy as np\n"
-            "def helper(a):\n"
-            "    return np.sum(a)\n"
-        )
-        assert check_source(source) == []
-
-    def test_keyword_only_xp_counts(self):
-        source = (
-            "import numpy as np\n"
-            "def kernel(a, *, xp):\n"
-            "    return np.maximum(a, 0)\n"
-        )
-        assert codes(check_source(source)) == ["REPRO006"]
-
-    def test_math_calls_are_fine(self):
-        source = (
-            "import math\n"
-            "def kernel(xp, a):\n"
-            "    return a * math.log1p(0.5)\n"
-        )
-        assert check_source(source) == []
-
-    def test_fixture_file(self):
-        violations, _ = check_paths([FIXTURES / "bad_xp_kernel.py"])
-        assert codes(violations) == ["REPRO006", "REPRO006"]
-
-    def test_production_kernels_are_xp_clean(self):
-        root = Path(__file__).resolve().parents[2]
-        violations, _ = check_paths([root / "src" / "repro" / "sim"])
-        assert [v for v in violations if v.rule == "REPRO006"] == []
-
-
 # --------------------------------------------------------------- suppression
 class TestNoqa:
     def test_code_specific_and_bare_noqa(self):
@@ -288,7 +226,6 @@ class TestRuleRegistry:
             "REPRO003",
             "REPRO004",
             "REPRO005",
-            "REPRO006",
         ]
 
     def test_select_and_ignore(self):
@@ -296,7 +233,7 @@ class TestRuleRegistry:
         assert [r.code for r in selected] == ["REPRO003"]
         remaining = build_rules(ignore=["REPRO003", "REPRO005"])
         assert [r.code for r in remaining] == [
-            "REPRO001", "REPRO002", "REPRO004", "REPRO006",
+            "REPRO001", "REPRO002", "REPRO004",
         ]
 
     def test_unknown_code_rejected(self):
@@ -319,7 +256,7 @@ class TestDiscoveryAndSyntax:
 
     def test_fixture_sweep_totals(self):
         violations, files_checked = check_paths([FIXTURES])
-        assert files_checked == 14
+        assert files_checked == 13
         by_rule = {}
         for violation in violations:
             by_rule[violation.rule] = by_rule.get(violation.rule, 0) + 1
@@ -329,7 +266,6 @@ class TestDiscoveryAndSyntax:
             "REPRO003": 3,
             "REPRO004": 3,
             "REPRO005": 1,
-            "REPRO006": 2,
         }
 
 

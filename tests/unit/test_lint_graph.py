@@ -303,9 +303,9 @@ class TestRoots:
         registry = graph.modules["repro.experiments.registry"]
         assert registry.registry_runners
         assert set(registry.registry_runners) <= roots
-        # The declared backend kernels are certified too.
-        assert "repro.backends.calendar_kernels.sim_chunk_kernel" in roots
-        assert "repro.backends.calendar_kernels.fixed_point_kernel" in roots
+        # The declared solver roots are certified too.
+        assert "repro.serve.solvers.solve_request" in roots
+        assert "repro.bianchi.meanfield.solve_mean_field_batch" in roots
         # Config drift guard: every declared root resolves.
         assert graph.unresolved_roots() == ()
 

@@ -1,9 +1,8 @@
 """Tests for the whole-program REPRO1xx rules (purity, RNG provenance,
-exception contract, backend parity) and the real-tree certification."""
+exception contract) and the real-tree certification."""
 
 from __future__ import annotations
 
-import shutil
 import textwrap
 from pathlib import Path
 
@@ -259,64 +258,6 @@ class TestExceptionContractRule:
         assert violations == []
 
 
-class TestBackendParityRule:
-    def _backend_tree(self, tmp_path):
-        target = tmp_path / "repro" / "backends"
-        target.parent.mkdir(parents=True)
-        (tmp_path / "repro" / "__init__.py").write_text("")
-        shutil.copytree(SRC / "repro" / "backends", target)
-        return tmp_path
-
-    def test_real_backends_pass(self, tmp_path):
-        tree = self._backend_tree(tmp_path)
-        violations, _ = deep_check(tree, select=["REPRO104"])
-        assert violations == []
-
-    def test_mutated_python_constant_flagged(self, tmp_path):
-        tree = self._backend_tree(tmp_path)
-        kernels = tree / "repro" / "backends" / "calendar_kernels.py"
-        kernels.write_text(
-            kernels.read_text().replace(
-                "0x9E3779B97F4A7C15", "0x9E3779B97F4A7C17"
-            )
-        )
-        violations, _ = deep_check(tree, select=["REPRO104"])
-        assert any(
-            "splitmix64" in v.message
-            and v.path.endswith("calendar_kernels.py")
-            for v in violations
-        )
-
-    def test_mutated_c_constant_flagged(self, tmp_path):
-        tree = self._backend_tree(tmp_path)
-        cnative = tree / "repro" / "backends" / "cnative_backend.py"
-        cnative.write_text(
-            cnative.read_text().replace(
-                "9007199254740992.0", "9007199254740994.0"
-            )
-        )
-        violations, _ = deep_check(tree, select=["REPRO104"])
-        assert any(
-            "2**-53" in v.message and v.path.endswith("cnative_backend.py")
-            for v in violations
-        )
-
-    def test_numba_redefining_kernel_flagged(self, tmp_path):
-        tree = self._backend_tree(tmp_path)
-        numba_mod = tree / "repro" / "backends" / "numba_backend.py"
-        numba_mod.write_text(
-            numba_mod.read_text()
-            + "\n\ndef sim_chunk_kernel(*args):\n    return None\n"
-        )
-        violations, _ = deep_check(tree, select=["REPRO104"])
-        assert any("redefines sim_chunk_kernel" in v.message for v in violations)
-
-    def test_backends_absent_is_silent(self, tmp_path):
-        write_tree(tmp_path, {"mod.py": "def f():\n    return 1\n"})
-        violations, _ = deep_check(tmp_path, select=["REPRO104"])
-        assert violations == []
-
-
 class TestRealTreeCertification:
     """The acceptance bar: the shipped tree certifies clean with zero
     suppressions."""
@@ -333,8 +274,6 @@ class TestRealTreeCertification:
         registry = graph.modules["repro.experiments.registry"]
         assert len(registry.registry_runners) >= 12
         assert set(registry.registry_runners) <= roots
-        assert "repro.backends.calendar_kernels.sim_chunk_kernel" in roots
-        assert "repro.backends.calendar_kernels.fixed_point_kernel" in roots
 
     def test_rng_provenance_clean_without_noqa(self, real_report):
         violations, _ = real_report
@@ -343,10 +282,6 @@ class TestRealTreeCertification:
     def test_exception_contract_clean(self, real_report):
         violations, _ = real_report
         assert [v for v in violations if v.rule == "REPRO103"] == []
-
-    def test_backend_parity_clean(self, real_report):
-        violations, _ = real_report
-        assert [v for v in violations if v.rule == "REPRO104"] == []
 
     def test_all_declared_roots_resolve(self, real_report):
         _, graph = real_report
@@ -359,14 +294,13 @@ class TestRegistry:
             "REPRO101",
             "REPRO102",
             "REPRO103",
-            "REPRO104",
         ]
 
     def test_select_and_ignore(self):
         rules = build_project_rules(select=frozenset({"REPRO101"}))
         assert [r.code for r in rules] == ["REPRO101"]
-        rules = build_project_rules(ignore=frozenset({"REPRO104"}))
-        assert [r.code for r in rules] == ["REPRO101", "REPRO102", "REPRO103"]
+        rules = build_project_rules(ignore=frozenset({"REPRO103"}))
+        assert [r.code for r in rules] == ["REPRO101", "REPRO102"]
 
     def test_bad_code_rejected(self):
         with pytest.raises(LintError):

@@ -70,7 +70,6 @@ class TestIntervalEstimates:
         delta_busy = np.array([36.0])
         delta_slots = np.array([1000.0])
         tau, collision, throughput = interval_estimates(
-            np,
             delta_attempts,
             delta_successes,
             delta_busy,
@@ -96,7 +95,6 @@ class TestIntervalEstimates:
     def test_zero_attempts_give_zero_collision(self, params):
         times = slot_times(params, AccessMode.BASIC)
         tau, collision, _ = interval_estimates(
-            np,
             np.zeros((1, 3)),
             np.zeros((1, 3)),
             np.zeros(1),
