@@ -7,7 +7,7 @@ nodes into K *types* - O(K) per sweep whatever the population - and is
 exact (not approximate) for integer counts.  This benchmark times both
 engines on the same K-type mixture across population sizes
 ``10^3 .. 10^6`` and writes ``BENCH_meanfield.json`` at the repository
-root, mirroring ``BENCH_fixedpoint.json``.
+root, mirroring ``BENCH_kernel.json``.
 
 Two contracts are asserted alongside the timings:
 

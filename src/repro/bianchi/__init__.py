@@ -32,7 +32,6 @@ from repro.bianchi.fixedpoint import (
     FixedPointSolution,
     SymmetricSolution,
     solve_heterogeneous,
-    solve_heterogeneous_reference,
     solve_symmetric,
     symmetric_cache_info,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "slot_statistics",
     "solve_heterogeneous",
     "solve_heterogeneous_batch",
-    "solve_heterogeneous_reference",
     "solve_mean_field",
     "solve_mean_field_batch",
     "solve_symmetric",

@@ -5,17 +5,12 @@ Given per-node contention windows ``W_1..W_n``, the model is the system
 ``tau_i = tau(W_i, p_i)``          (per-node Markov chain, equation (2))
 ``p_i   = 1 - prod_{j != i} (1 - tau_j)``   (coupling, equation (3))
 
-which is ``2n`` equations in ``2n`` unknowns.  Production solves go
-through the batched array kernel in :mod:`repro.bianchi.batched`:
-:func:`solve_heterogeneous` is a thin ``B = 1`` wrapper around
-:func:`~repro.bianchi.batched.solve_heterogeneous_batch`, and the
-memoized :func:`solve_symmetric` wraps a one-window
-:func:`~repro.bianchi.batched.solve_symmetric_grid` call.  The original
-per-node damped Python loop survives as
-:func:`solve_heterogeneous_reference` so tests and benchmarks can pin the
-batched kernel against the legacy scalar semantics; it raises
-:class:`~repro.errors.ConvergenceError` when the damped iteration
-exhausts its budget.
+which is ``2n`` equations in ``2n`` unknowns.  This module holds the
+one-instance wrappers.  :func:`solve_heterogeneous` is a thin ``B = 1``
+wrapper around :func:`~repro.bianchi.batched.solve_heterogeneous_batch`,
+which runs the fixed-point engine of :mod:`repro.bianchi.meanfield`, and
+the memoized :func:`solve_symmetric` wraps a one-window
+:func:`~repro.bianchi.batched.solve_symmetric_grid` call.
 
 For the symmetric case (all nodes share one ``W``) the system collapses to
 a scalar fixed point ``tau = tau(W, 1 - (1 - tau)^{n-1})``; the paper notes
@@ -32,30 +27,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.typealiases import FloatArray
-from repro.contracts import check_probability, check_window, checks_enabled
-from repro.errors import ConvergenceError, ParameterError
-from repro.obs import enabled as _obs_enabled
-from repro.obs.metrics import inc as _obs_inc
-from repro.obs.metrics import observe as _obs_observe
-from repro.bianchi.batched import (
-    collision_probabilities,
-    solve_heterogeneous_batch,
-    solve_symmetric_grid,
-)
+from repro.contracts import check_window
+from repro.errors import ParameterError
+from repro.bianchi.batched import solve_heterogeneous_batch, solve_symmetric_grid
 from repro.bianchi.markov import transmission_probability
+from repro.bianchi.meanfield import _DEFAULT_MAX_ITER
 
 __all__ = [
     "FixedPointSolution",
     "SymmetricSolution",
     "solve_heterogeneous",
-    "solve_heterogeneous_reference",
     "solve_symmetric",
     "symmetric_cache_info",
 ]
-
-_DEFAULT_TOL = 1e-12
-_DEFAULT_MAX_ITER = 100_000
-_DAMPING = 0.5
 
 
 @dataclass(frozen=True)
@@ -77,9 +61,8 @@ class FixedPointSolution:
         ``"newton"`` this counts the exhausted fixed-point budget.
     method:
         How the solution was obtained: ``"closed-form"`` (``n = 1``),
-        ``"anderson"`` (accelerated batched iteration), ``"newton"``
-        (vectorized Newton fallback) or ``"damped"`` (legacy reference
-        loop).
+        ``"anderson"`` (accelerated batched iteration) or ``"newton"``
+        (vectorized Newton fallback).
     """
 
     windows: FloatArray
@@ -123,22 +106,10 @@ class SymmetricSolution:
     iterations: int
 
 
-def _collision_probabilities(tau: FloatArray) -> FloatArray:
-    """``p_i = 1 - prod_{j != i}(1 - tau_j)``, computed stably.
-
-    Delegates to the O(n) vectorized ``log1p``-sum kernel of
-    :func:`repro.bianchi.batched.collision_probabilities`; the result is
-    already clamped below 1, so callers feed it straight into
-    ``tau(W, p)`` without per-site ``min(p, ...)`` guards.
-    """
-    return collision_probabilities(tau)
-
-
 def solve_heterogeneous(
     windows: Sequence[float],
     max_stage: int,
     *,
-    tol: float = _DEFAULT_TOL,
     max_iterations: int = _DEFAULT_MAX_ITER,
     initial_tau: Optional[Sequence[float]] = None,
 ) -> FixedPointSolution:
@@ -147,8 +118,6 @@ def solve_heterogeneous(
     Thin ``B = 1`` wrapper over the batched Anderson-accelerated solver
     (:func:`repro.bianchi.batched.solve_heterogeneous_batch`); callers
     with many window vectors should batch them instead of looping here.
-    Results match :func:`solve_heterogeneous_reference` to ``<= 1e-9``
-    max abs difference in ``tau``.
 
     Parameters
     ----------
@@ -156,8 +125,6 @@ def solve_heterogeneous(
         Contention window of each node (length ``n >= 1``).
     max_stage:
         Maximum backoff stage ``m`` (shared by all nodes).
-    tol:
-        Convergence tolerance on the max-norm of the tau update.
     max_iterations:
         Iteration budget for the accelerated scheme before the batched
         Newton fallback takes over.
@@ -172,7 +139,7 @@ def solve_heterogeneous(
     ------
     ConvergenceError
         If neither the accelerated iteration nor the Newton fallback
-        reaches the requested tolerance.
+        reaches a residual below ``1e-8``.
     """
     w = np.asarray(list(windows), dtype=float)
     if w.ndim != 1 or w.shape[0] < 1:
@@ -199,11 +166,7 @@ def solve_heterogeneous(
             raise ParameterError("initial_tau must match windows in length")
 
     batch = solve_heterogeneous_batch(
-        w[None, :],
-        max_stage,
-        tol=tol,
-        max_iterations=max_iterations,
-        initial_tau=start,
+        w[None, :], max_stage, max_iterations=max_iterations, initial_tau=start
     )
     return FixedPointSolution(
         windows=w,
@@ -215,108 +178,11 @@ def solve_heterogeneous(
     )
 
 
-def solve_heterogeneous_reference(
-    windows: Sequence[float],
-    max_stage: int,
-    *,
-    tol: float = _DEFAULT_TOL,
-    max_iterations: int = _DEFAULT_MAX_ITER,
-    initial_tau: Optional[Sequence[float]] = None,
-) -> FixedPointSolution:
-    """Legacy scalar solver: one damped Python-loop instance per call.
-
-    Kept as the semantic reference the batched kernel is verified and
-    benchmarked against (see ``tests/property`` and
-    ``benchmarks/test_bench_fixedpoint.py``).
-
-    Raises
-    ------
-    ConvergenceError
-        If the damped iteration does not reach ``tol`` within
-        ``max_iterations`` sweeps, or the residual at the result exceeds
-        ``1e-8``.
-    """
-    w = np.asarray(list(windows), dtype=float)
-    if w.ndim != 1 or w.shape[0] < 1:
-        raise ParameterError("windows must be a non-empty 1-D sequence")
-    check_window(w, "windows")
-    n = w.shape[0]
-
-    if n == 1:
-        tau = np.array([transmission_probability(w[0], 0.0, max_stage)])
-        return FixedPointSolution(
-            windows=w,
-            tau=tau,
-            collision=np.zeros(1),
-            residual=0.0,
-            iterations=0,
-            method="closed-form",
-        )
-
-    if initial_tau is not None:
-        tau = np.asarray(list(initial_tau), dtype=float)
-        if tau.shape != w.shape:
-            raise ParameterError("initial_tau must match windows in length")
-    else:
-        tau = np.full(n, 0.1)
-
-    def step(current: FloatArray) -> FloatArray:
-        # _collision_probabilities clamps centrally, so the per-node
-        # evaluations need no ad-hoc min(p, 1 - eps) guard.
-        p = _collision_probabilities(current)
-        return np.array(
-            [
-                transmission_probability(float(w[i]), float(p[i]), max_stage)
-                for i in range(n)
-            ]
-        )
-
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        updated = _DAMPING * tau + (1.0 - _DAMPING) * step(tau)
-        delta = float(np.max(np.abs(updated - tau)))
-        tau = updated
-        if delta < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"damped fixed point did not converge in {max_iterations} "
-            f"iterations for windows={w!r}"
-        )
-
-    p = _collision_probabilities(tau)
-    residual = float(np.max(np.abs(tau - step(tau))))
-    if residual > 1e-8:
-        raise ConvergenceError(
-            f"fixed point residual {residual:.3e} exceeds tolerance for "
-            f"windows={w!r}"
-        )
-    if checks_enabled():
-        # Theorem 2 rests on tau_i, p_i being probabilities; catch a
-        # numerically corrupted solution before it contaminates the
-        # utility/equilibrium layers.
-        check_probability(tau, "tau")
-        check_probability(p, "collision")
-    if _obs_enabled():
-        _obs_inc("bianchi.solves", 1, kind="reference")
-        _obs_inc("bianchi.method", 1, method="damped")
-        _obs_observe("bianchi.iterations", iterations, kind="reference")
-    return FixedPointSolution(
-        windows=w,
-        tau=tau,
-        collision=p,
-        residual=residual,
-        iterations=iterations,
-        method="damped",
-    )
-
-
 def solve_symmetric(
     window: float,
     n_nodes: int,
     max_stage: int,
     *,
-    tol: float = _DEFAULT_TOL,
     max_iterations: int = _DEFAULT_MAX_ITER,
 ) -> SymmetricSolution:
     """Solve the scalar symmetric fixed point for a common window.
@@ -344,12 +210,11 @@ def solve_symmetric(
     Raises
     ------
     ConvergenceError
-        If the damped iteration does not reach ``tol``; in practice the map
+        If the damped iteration does not converge; in practice the map
         is a contraction after damping and this does not trigger.
     """
     return _solve_symmetric_cached(
-        float(window), int(n_nodes), int(max_stage), float(tol),
-        int(max_iterations),
+        float(window), int(n_nodes), int(max_stage), int(max_iterations)
     )
 
 
@@ -363,14 +228,10 @@ def _solve_symmetric_cached(
     window: float,
     n_nodes: int,
     max_stage: int,
-    tol: float,
     max_iterations: int,
 ) -> SymmetricSolution:
     grid = solve_symmetric_grid(
-        np.array([float(window)]),
-        n_nodes,
-        max_stage,
-        tol=tol,
+        np.array([float(window)]), n_nodes, max_stage,
         max_iterations=max_iterations,
     )
     return SymmetricSolution(

@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+def _check_max_stage(max_stage: int) -> None:
+    if max_stage < 0:
+        raise ParameterError(f"max_stage must be >= 0, got {max_stage!r}")
+
+
 def _validate(window: float, collision_probability: float, max_stage: int) -> None:
     if window < 1:
         raise ParameterError(f"window must be >= 1, got {window!r}")
@@ -46,8 +51,7 @@ def _validate(window: float, collision_probability: float, max_stage: int) -> No
             "collision_probability must lie in [0, 1), got "
             f"{collision_probability!r}"
         )
-    if max_stage < 0:
-        raise ParameterError(f"max_stage must be >= 0, got {max_stage!r}")
+    _check_max_stage(max_stage)
 
 
 def _geometric_sum(ratio: float, terms: int) -> float:
@@ -68,6 +72,19 @@ def _geometric_sum_array(ratio: FloatArray, terms: int) -> FloatArray:
     return np.where(near_one, float(terms), (1.0 - safe**terms) / (1.0 - safe))
 
 
+def _tau_unchecked(w: FloatArray, p: FloatArray, max_stage: int) -> FloatArray:
+    """Equation (2) on arrays, without validation.
+
+    The fixed-point sweeps evaluate ``tau(W, p)`` thousands of times per
+    solve; their windows and ``max_stage`` are checked once at the
+    public boundary and ``p`` is clamped to ``[0, P_MAX]`` by
+    construction, so revalidating every sweep would only add cost.
+    """
+    series = _geometric_sum_array(2.0 * p, max_stage)
+    result: FloatArray = 2.0 / (1.0 + w + p * w * series)
+    return result
+
+
 def _validate_arrays(
     window: FloatArray, collision_probability: FloatArray, max_stage: int
 ) -> None:
@@ -78,8 +95,7 @@ def _validate_arrays(
             "collision_probability must lie in [0, 1), got "
             f"{collision_probability!r}"
         )
-    if max_stage < 0:
-        raise ParameterError(f"max_stage must be >= 0, got {max_stage!r}")
+    _check_max_stage(max_stage)
 
 
 @overload
@@ -132,9 +148,7 @@ def transmission_probability(
     w = np.asarray(window, dtype=float)
     p = np.asarray(collision_probability, dtype=float)
     _validate_arrays(w, p, max_stage)
-    series_arr = _geometric_sum_array(2.0 * p, max_stage)
-    result: FloatArray = 2.0 / (1.0 + w + p * w * series_arr)
-    return result
+    return _tau_unchecked(w, p, max_stage)
 
 
 @dataclass(frozen=True)

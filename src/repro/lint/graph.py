@@ -41,7 +41,7 @@ import hashlib
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.analyzer import DEFAULT_EXCLUDED_DIRS, iter_python_files
 
@@ -1228,13 +1228,3 @@ def _prune_cache(cache_dir: Path, *, keep: int) -> None:
             stale.unlink()
         except OSError:  # pragma: no cover - concurrent prune
             pass
-
-
-def iter_sources(
-    roots: Iterable[Path],
-    *,
-    excluded_dirs: FrozenSet[str] = DEFAULT_EXCLUDED_DIRS,
-) -> Iterable[Tuple[Path, str]]:
-    """Yield ``(path, source)`` pairs under ``roots`` (helper for rules)."""
-    for path in iter_python_files(roots, excluded_dirs=excluded_dirs):
-        yield path, path.read_text(encoding="utf-8")

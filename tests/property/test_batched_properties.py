@@ -1,12 +1,12 @@
 """Property-based equivalence of the batched solver vs the scalar one.
 
 The batched Anderson solver (`repro.bianchi.batched`) is the production
-path; `solve_heterogeneous_reference` is the original damped scalar
-iteration kept as a reference.  These tests pin the ISSUE's acceptance
-tolerance: on randomized window vectors the two must agree to within
-1e-9 in max absolute tau difference, in both access-mode regimes
-(max_stage varies the backoff ladder, not the access mode per se, but it
-is the knob the modes differ on).
+path; `solve_heterogeneous_reference` (`tests/fixedpoint_oracle.py`) is
+the original damped scalar iteration kept as a test oracle.  On
+randomized window vectors the two must agree to within 1e-9 in max
+absolute tau difference, in both access-mode regimes (max_stage varies
+the backoff ladder, not the access mode per se, but it is the knob the
+modes differ on).
 """
 
 from __future__ import annotations
@@ -16,11 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bianchi.batched import solve_heterogeneous_batch, solve_symmetric_grid
-from repro.bianchi.fixedpoint import (
-    solve_heterogeneous,
-    solve_heterogeneous_reference,
-    solve_symmetric,
-)
+from repro.bianchi.fixedpoint import solve_heterogeneous, solve_symmetric
+from tests.fixedpoint_oracle import solve_heterogeneous_reference
 
 TOL = 1e-9
 

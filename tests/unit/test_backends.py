@@ -215,7 +215,7 @@ class TestNumpyCompiled:
         script = (
             "import sys\n"
             "import repro.cli\n"
-            "from repro.bianchi.fixedpoint import solve_heterogeneous_reference\n"
+            "from repro.bianchi.fixedpoint import solve_heterogeneous\n"
             "from repro.game.equilibrium import analyze_equilibria, efficient_window\n"
             "from repro.multihop.topology import random_topology\n"
             "from repro.phy.parameters import AccessMode, default_parameters\n"
@@ -226,7 +226,7 @@ class TestNumpyCompiled:
             "efficient_window(5, params, times, ignore_cost=False)\n"
             "analyze_equilibria(20, params, times)\n"
             "random_topology(30, require_connected=True).components()\n"
-            "solve_heterogeneous_reference([16.0, 32.0], 5)\n"
+            "solve_heterogeneous([16.0, 32.0], 5)\n"
             "print(sorted(name for name in sys.modules\n"
             "             if name.split('.')[0] in ('scipy', 'networkx')))\n"
         )

@@ -2,7 +2,8 @@
 
 Shapes, per-instance convergence bookkeeping, the Newton fallback, the
 `method` reporting on the scalar wrapper, and the vectorized
-`transmission_probability` / `collision_probabilities` primitives.
+`transmission_probability` / `collision_probabilities` primitives.  The
+scalar damped loop of `tests/fixedpoint_oracle.py` is the reference.
 """
 
 from __future__ import annotations
@@ -17,13 +18,10 @@ from repro.bianchi.batched import (
     solve_heterogeneous_batch,
     solve_symmetric_grid,
 )
-from repro.bianchi.fixedpoint import (
-    solve_heterogeneous,
-    solve_heterogeneous_reference,
-    solve_symmetric,
-)
+from repro.bianchi.fixedpoint import solve_heterogeneous, solve_symmetric
 from repro.bianchi.markov import transmission_probability
 from repro.errors import ConvergenceError, ParameterError
+from tests.fixedpoint_oracle import solve_heterogeneous_reference
 
 MAX_STAGE = 5
 
@@ -71,6 +69,23 @@ class TestShapes:
             solve_symmetric_grid(np.array([]), 5, MAX_STAGE)
         with pytest.raises(ParameterError):
             solve_symmetric_grid(np.array([16.0]), 0, MAX_STAGE)
+
+    def test_batch_rejects_bad_max_stage_and_warm_start(self):
+        windows = np.array([[16.0, 32.0, 64.0]])
+        with pytest.raises(ParameterError, match="max_stage"):
+            solve_heterogeneous_batch(windows, -1)
+        with pytest.raises(ParameterError, match="broadcast"):
+            solve_heterogeneous_batch(windows, MAX_STAGE, initial_tau=[0.1, 0.1])
+        # A NaN warm start must fail at once, not after the whole budget.
+        with pytest.raises(ParameterError, match="finite"):
+            solve_heterogeneous_batch(
+                windows, MAX_STAGE, initial_tau=[0.1, np.nan, 0.1]
+            )
+
+    def test_grid_rejects_negative_max_stage(self):
+        for n_nodes in (1, 20):
+            with pytest.raises(ParameterError, match="max_stage"):
+                solve_symmetric_grid(np.array([16.0, 32.0]), n_nodes, -1)
 
 
 class TestConvergenceBookkeeping:

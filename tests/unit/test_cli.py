@@ -205,5 +205,9 @@ class TestDetectCommands:
         )
         assert "error:" in capsys.readouterr().err
 
+    def test_screen_rejects_negative_max_stage(self, capsys):
+        assert main(["detect", "screen", "--max-stage", "-1"]) != 0
+        assert "max_stage" in capsys.readouterr().err
+
     def test_meanfield_quick_overrides_registered(self):
         assert "meanfield" in QUICK_OVERRIDES

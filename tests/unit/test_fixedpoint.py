@@ -5,11 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bianchi.fixedpoint import (
-    _collision_probabilities,
-    solve_heterogeneous,
-    solve_symmetric,
-)
+from repro.bianchi.batched import collision_probabilities
+from repro.bianchi.fixedpoint import solve_heterogeneous, solve_symmetric
 from repro.bianchi.markov import transmission_probability
 from repro.errors import ParameterError
 
@@ -17,20 +14,20 @@ from repro.errors import ParameterError
 class TestCollisionCoupling:
     def test_two_nodes(self):
         tau = np.array([0.1, 0.3])
-        p = _collision_probabilities(tau)
+        p = collision_probabilities(tau)
         assert p[0] == pytest.approx(0.3)
         assert p[1] == pytest.approx(0.1)
 
     def test_leave_one_out_product(self):
         tau = np.array([0.05, 0.1, 0.2, 0.4])
-        p = _collision_probabilities(tau)
+        p = collision_probabilities(tau)
         for i in range(4):
             others = np.delete(tau, i)
             assert p[i] == pytest.approx(1 - np.prod(1 - others), rel=1e-12)
 
     def test_handles_tau_one(self):
         tau = np.array([1.0, 0.2])
-        p = _collision_probabilities(tau)
+        p = collision_probabilities(tau)
         assert p[0] == pytest.approx(0.2)
         assert p[1] == pytest.approx(1.0)
 

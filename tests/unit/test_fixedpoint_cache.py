@@ -24,12 +24,6 @@ class TestSymmetricCache:
         assert solve_symmetric(64, 5, 5) is not solve_symmetric(65, 5, 5)
         assert solve_symmetric(64, 5, 5) is not solve_symmetric(64, 6, 5)
 
-    def test_tolerance_is_part_of_the_key(self):
-        loose = solve_symmetric(48, 5, 5, tol=1e-6)
-        tight = solve_symmetric(48, 5, 5, tol=1e-12)
-        assert loose is not tight
-        assert loose.tau == pytest.approx(tight.tau, rel=1e-4)
-
     def test_hits_increase_on_repeat(self):
         solve_symmetric(97, 7, 5)
         before = symmetric_cache_info().hits

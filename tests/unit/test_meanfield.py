@@ -21,7 +21,7 @@ from repro.bianchi.meanfield import (
     solve_mean_field_batch,
     type_collision_probabilities,
 )
-from repro.errors import ConvergenceError, ParameterError
+from repro.errors import ParameterError
 from repro.game.utility import stage_outcome
 from repro.phy.parameters import AccessMode, PhyParameters
 from repro.phy.timing import slot_times
@@ -71,6 +71,20 @@ class TestShapes:
     def test_rejects_invalid_windows(self):
         with pytest.raises(Exception):
             solve_mean_field([0.5, 64.0], [5.0, 5.0], MAX_STAGE)
+
+    def test_rejects_bad_max_stage_and_warm_start(self):
+        windows, counts = [[32.0, 64.0]], [[5.0, 5.0]]
+        with pytest.raises(ParameterError, match="max_stage"):
+            solve_mean_field_batch(windows, counts, -1)
+        with pytest.raises(ParameterError, match="broadcast"):
+            solve_mean_field_batch(
+                windows, counts, MAX_STAGE, initial_tau=[0.1, 0.1, 0.1]
+            )
+        # A NaN warm start must fail at once, not after the whole budget.
+        with pytest.raises(ParameterError, match="finite"):
+            solve_mean_field_batch(
+                windows, counts, MAX_STAGE, initial_tau=[0.1, np.nan]
+            )
 
 
 class TestExactAgreement:
