@@ -9,7 +9,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.detect import EmpiricalRepeatedGame
 from repro.experiments.reporting import format_table

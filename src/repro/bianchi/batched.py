@@ -299,6 +299,45 @@ def solve_symmetric_grid(
     ConvergenceError
         If some window's damped iteration exhausts ``max_iterations``.
     """
+    solution = _solve_symmetric_grid(
+        windows, n_nodes, max_stage, max_iterations
+    )
+    _record_symmetric_solves(solution.n_nodes, solution.iterations)
+    return solution
+
+
+def _record_symmetric_solves(
+    n_nodes: int, iterations: Union[Sequence[int], IntArray]
+) -> None:
+    """Record the obs events of one symmetric solve per iteration count.
+
+    :func:`solve_symmetric_grid` records its grid here, and the memoized
+    :func:`repro.bianchi.fixedpoint.solve_symmetric` records every call,
+    memo hit or not, so a run's profile does not depend on what the
+    process solved before.
+    """
+    if not _obs_enabled():
+        return
+    count = len(iterations)
+    _obs_inc("bianchi.solves", count, kind="symmetric-grid")
+    if n_nodes == 1:
+        _obs_inc("bianchi.method", count, method="closed-form")
+        return
+    _obs_inc("bianchi.method", count, method="damped")
+    _obs_observe_many(
+        "bianchi.iterations",
+        [int(k) for k in iterations],
+        kind="symmetric-grid",
+    )
+
+
+def _solve_symmetric_grid(
+    windows: Union[Sequence[float], FloatArray],
+    n_nodes: int,
+    max_stage: int,
+    max_iterations: int,
+) -> SymmetricGridSolution:
+    """:func:`solve_symmetric_grid` without its obs events."""
     w = np.asarray(windows, dtype=float)
     if w.ndim != 1 or w.shape[0] < 1:
         raise ParameterError("windows must be a non-empty 1-D grid")
@@ -310,9 +349,6 @@ def solve_symmetric_grid(
 
     if n_nodes == 1:
         tau = _tau_unchecked(w, np.zeros_like(w), max_stage)
-        if _obs_enabled():
-            _obs_inc("bianchi.solves", n_grid, kind="symmetric-grid")
-            _obs_inc("bianchi.method", n_grid, method="closed-form")
         return SymmetricGridSolution(
             windows=w,
             n_nodes=1,
@@ -350,14 +386,6 @@ def solve_symmetric_grid(
     if checks_enabled():
         check_probability(tau, "tau")
         check_probability(p, "collision")
-    if _obs_enabled():
-        _obs_inc("bianchi.solves", n_grid, kind="symmetric-grid")
-        _obs_inc("bianchi.method", n_grid, method="damped")
-        _obs_observe_many(
-            "bianchi.iterations",
-            iterations.tolist(),
-            kind="symmetric-grid",
-        )
     return SymmetricGridSolution(
         windows=w,
         n_nodes=int(n_nodes),

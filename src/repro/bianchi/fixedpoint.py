@@ -29,7 +29,11 @@ import numpy as np
 from repro.typealiases import FloatArray
 from repro.contracts import check_window
 from repro.errors import ParameterError
-from repro.bianchi.batched import solve_heterogeneous_batch, solve_symmetric_grid
+from repro.bianchi.batched import (
+    _record_symmetric_solves,
+    _solve_symmetric_grid,
+    solve_heterogeneous_batch,
+)
 from repro.bianchi.markov import transmission_probability
 from repro.bianchi.meanfield import _DEFAULT_MAX_ITER
 
@@ -190,7 +194,8 @@ def solve_symmetric(
     Results are memoized: scattered scalar queries (the multi-hop local
     games, spot checks) re-solve the same ``(W, n)`` pairs many times,
     and the solution object is frozen, so identical arguments return the
-    cached instance.  Whole window sweeps should call
+    cached instance.  Every call records the solve's obs events, memo
+    hit or not.  Whole window sweeps should call
     :func:`repro.bianchi.batched.solve_symmetric_grid` instead and pay
     one array iteration for the entire grid.
 
@@ -213,9 +218,11 @@ def solve_symmetric(
         If the damped iteration does not converge; in practice the map
         is a contraction after damping and this does not trigger.
     """
-    return _solve_symmetric_cached(
+    solution = _solve_symmetric_cached(
         float(window), int(n_nodes), int(max_stage), int(max_iterations)
     )
+    _record_symmetric_solves(solution.n_nodes, [solution.iterations])
+    return solution
 
 
 def symmetric_cache_info() -> "functools._CacheInfo":
@@ -230,9 +237,8 @@ def _solve_symmetric_cached(
     max_stage: int,
     max_iterations: int,
 ) -> SymmetricSolution:
-    grid = solve_symmetric_grid(
-        np.array([float(window)]), n_nodes, max_stage,
-        max_iterations=max_iterations,
+    grid = _solve_symmetric_grid(
+        np.array([float(window)]), n_nodes, max_stage, max_iterations
     )
     return SymmetricSolution(
         window=float(window),

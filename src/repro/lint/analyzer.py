@@ -5,12 +5,16 @@ The analyzer parses each file once, builds a :class:`ModuleContext`
 registered experiment modules) and hands it to every rule.  Violations on
 lines carrying ``# repro: noqa`` or ``# repro: noqa=CODE[,CODE...]`` are
 filtered before reporting.
+
+The AST helpers here (import aliases, dotted-name resolution, the
+``Experiment(...)`` runner extraction and the noqa matcher) are the one
+front end shared by the per-file rules and the whole-program graph of
+:mod:`repro.lint.graph`.
 """
 
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,30 +131,21 @@ class ModuleContext:
         (``import numpy as np``, ``from numpy import random``,
         ``from numpy.random import default_rng``, ...).
         """
-        parts: List[str] = []
-        current = node
-        while isinstance(current, ast.Attribute):
-            parts.append(current.attr)
-            current = current.value
-        if not isinstance(current, ast.Name):
-            return None
-        parts.append(current.id)
-        parts.reverse()
-        head = self._aliases.get(parts[0], parts[0])
-        return ".".join([head, *parts[1:]])
+        return _dotted(node, self._aliases)
 
-    def suppressed(self, violation: Violation) -> bool:
-        """Whether a ``# repro: noqa`` comment silences this violation."""
-        if not 1 <= violation.line <= len(self.lines):
-            return False
-        match = _NOQA_PATTERN.search(self.lines[violation.line - 1])
-        if match is None:
-            return False
-        codes = match.group("codes")
-        if codes is None:
-            return True
-        wanted = {code.strip() for code in codes.split(",") if code.strip()}
-        return violation.rule in wanted
+
+def _noqa_suppresses(lines: Sequence[str], violation: Violation) -> bool:
+    """Whether ``violation``'s line in ``lines`` carries a matching noqa."""
+    if not 1 <= violation.line <= len(lines):
+        return False
+    match = _NOQA_PATTERN.search(lines[violation.line - 1])
+    if match is None:
+        return False
+    codes = match.group("codes")
+    if codes is None:
+        return True
+    wanted = {code.strip() for code in codes.split(",") if code.strip()}
+    return violation.rule in wanted
 
 
 def _import_aliases(tree: ast.Module) -> Dict[str, str]:
@@ -164,22 +159,36 @@ def _import_aliases(tree: ast.Module) -> Dict[str, str]:
                 aliases[local] = target
         elif isinstance(node, ast.ImportFrom):
             if node.module is None or node.level:
-                continue  # relative imports cannot be numpy
+                continue  # relative imports cannot be resolved statically
             for name in node.names:
                 local = name.asname or name.name
                 aliases[local] = f"{node.module}.{name.name}"
     return aliases
 
 
-def registered_experiment_modules(source: str) -> FrozenSet[str]:
-    """Extract registered experiment module names from registry source.
+def _dotted(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
+    """Canonical dotted name of a Name/Attribute chain, alias-resolved."""
+    parts: List[str] = []
+    current = node
+    while isinstance(current, ast.Attribute):
+        parts.append(current.attr)
+        current = current.value
+    if not isinstance(current, ast.Name):
+        return None
+    parts.append(current.id)
+    parts.reverse()
+    head = aliases.get(parts[0], parts[0])
+    return ".".join([head, *parts[1:]])
 
-    Looks for ``Experiment(...)`` constructions and records the module of
-    each ``runner`` argument (``table2.run`` -> ``table2``), accepting the
-    runner either as the fourth positional argument or as a keyword.
+
+def _registry_runners(tree: ast.Module, aliases: Dict[str, str]) -> List[str]:
+    """Dotted runner names of the ``Experiment(...)`` calls in ``tree``.
+
+    ``Experiment("table2", ..., table2.run)`` (positional or ``runner=``
+    keyword) yields ``repro.experiments.table2.run`` after alias
+    resolution; a runner defined in the registry itself stays a bare name.
     """
-    tree = ast.parse(source)
-    modules = set()
+    runners: List[str] = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -199,11 +208,24 @@ def registered_experiment_modules(source: str) -> FrozenSet[str]:
         for keyword in node.keywords:
             if keyword.arg == "runner":
                 runner = keyword.value
-        if isinstance(runner, ast.Attribute) and isinstance(
-            runner.value, ast.Name
-        ):
-            modules.add(runner.value.id)
-    return frozenset(modules)
+        canonical = _dotted(runner, aliases) if runner is not None else None
+        if canonical is not None:
+            runners.append(canonical)
+    return runners
+
+
+def registered_experiment_modules(source: str) -> FrozenSet[str]:
+    """Module names of the experiments registered in registry ``source``.
+
+    The module of each ``Experiment(...)`` runner, resolved through the
+    registry's imports (``table2.run`` -> ``table2``).
+    """
+    tree = ast.parse(source)
+    return frozenset(
+        runner.split(".")[-2]
+        for runner in _registry_runners(tree, _import_aliases(tree))
+        if "." in runner
+    )
 
 
 def check_source(
@@ -239,7 +261,9 @@ def check_source(
     for rule in active_rules:
         violations.extend(rule.check_module(context))
     if respect_noqa:
-        violations = [v for v in violations if not context.suppressed(v)]
+        violations = [
+            v for v in violations if not _noqa_suppresses(context.lines, v)
+        ]
     return sorted(violations)
 
 
@@ -292,20 +316,6 @@ def _find_registry(files: Sequence[Path]) -> Optional[FrozenSet[str]]:
     return None
 
 
-def _lint_file_worker(
-    args: Tuple[str, Optional[Tuple[str, ...]], Optional[Tuple[str, ...]],
-                Optional[FrozenSet[str]], bool],
-) -> List[Violation]:
-    """Process-pool worker: lint one file (all arguments picklable)."""
-    path, select, ignore, registered, respect_noqa = args
-    return check_file(
-        Path(path),
-        rules=build_rules(select=select, ignore=ignore),
-        registered_experiments=registered,
-        respect_noqa=respect_noqa,
-    )
-
-
 def check_paths(
     roots: Sequence[Path],
     *,
@@ -313,13 +323,8 @@ def check_paths(
     ignore: Optional[Sequence[str]] = None,
     excluded_dirs: FrozenSet[str] = DEFAULT_EXCLUDED_DIRS,
     respect_noqa: bool = True,
-    jobs: Optional[int] = None,
 ) -> Tuple[List[Violation], int]:
     """Lint every Python file under ``roots``.
-
-    ``jobs`` > 1 fans the per-file work out over a process pool; output
-    is sorted either way, so the violation list is byte-identical for
-    any job count.
 
     Returns
     -------
@@ -331,54 +336,16 @@ def check_paths(
     files = list(iter_python_files(roots, excluded_dirs=excluded_dirs))
     registered = _find_registry(files)
     violations: List[Violation] = []
-    worker_count = int(jobs) if jobs else 1
-    if worker_count > 1 and len(files) > 1:
-        select_t = tuple(select) if select is not None else None
-        ignore_t = tuple(ignore) if ignore is not None else None
-        work = [
-            (str(path), select_t, ignore_t, registered, respect_noqa)
-            for path in files
-        ]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(worker_count, len(files))
-        ) as pool:
-            for result in pool.map(_lint_file_worker, work):
-                violations.extend(result)
-    else:
-        for path in files:
-            violations.extend(
-                check_file(
-                    path,
-                    rules=rules,
-                    registered_experiments=registered,
-                    respect_noqa=respect_noqa,
-                )
+    for path in files:
+        violations.extend(
+            check_file(
+                path,
+                rules=rules,
+                registered_experiments=registered,
+                respect_noqa=respect_noqa,
             )
+        )
     return sorted(violations), len(files)
-
-
-def _deep_suppressed(
-    violation: Violation, line_cache: Dict[str, List[str]]
-) -> bool:
-    """noqa check for whole-program findings (sources read lazily)."""
-    if violation.path not in line_cache:
-        try:
-            line_cache[violation.path] = Path(violation.path).read_text(
-                encoding="utf-8"
-            ).splitlines()
-        except OSError:
-            line_cache[violation.path] = []
-    lines = line_cache[violation.path]
-    if not 1 <= violation.line <= len(lines):
-        return False
-    match = _NOQA_PATTERN.search(lines[violation.line - 1])
-    if match is None:
-        return False
-    codes = match.group("codes")
-    if codes is None:
-        return True
-    wanted = {code.strip() for code in codes.split(",") if code.strip()}
-    return violation.rule in wanted
 
 
 def check_project(
@@ -388,27 +355,24 @@ def check_project(
     ignore: Optional[Sequence[str]] = None,
     excluded_dirs: FrozenSet[str] = DEFAULT_EXCLUDED_DIRS,
     respect_noqa: bool = True,
-    cache_dir: Optional[Path] = None,
     extra_boundaries: FrozenSet[str] = frozenset(),
 ) -> Tuple[List[Violation], object]:
     """Run the whole-program (REPRO1xx) rules over ``roots``.
 
-    Builds (or loads from ``cache_dir``) the project call graph, runs
-    every selected :class:`~repro.lint.project_rules.ProjectRule`, and
-    filters findings through the same ``# repro: noqa`` machinery as the
-    per-file pass - a whole-program finding anchors to the offending
-    call site, so a noqa comment on that line suppresses it.
+    Builds the project call graph, runs every selected
+    :class:`~repro.lint.project_rules.ProjectRule`, and filters findings
+    through the same ``# repro: noqa`` matcher as the per-file pass - a
+    whole-program finding anchors to the offending call site, so a noqa
+    comment on that line suppresses it.
 
     Returns ``(violations, graph)``; the graph is returned so callers
     (tests, tooling) can inspect roots and reachability directly.
     """
-    # Imported lazily: project_rules imports Violation from this module.
-    from repro.lint.graph import load_or_build
+    # Imported lazily: graph and project_rules import from this module.
+    from repro.lint.graph import build_graph
     from repro.lint.project_rules import ProjectContext, build_project_rules
 
-    graph = load_or_build(
-        roots, cache_dir=cache_dir, excluded_dirs=excluded_dirs
-    )
+    graph = build_graph(roots, excluded_dirs=excluded_dirs)
     context = ProjectContext(
         graph=graph,
         roots=tuple(str(root) for root in roots),
@@ -420,10 +384,13 @@ def check_project(
     for rule in build_project_rules(select=select_f, ignore=ignore_f):
         violations.extend(rule.check_project(context))
     if respect_noqa:
-        line_cache: Dict[str, List[str]] = {}
+        lines = {
+            path: Path(path).read_text(encoding="utf-8").splitlines()
+            for path in {violation.path for violation in violations}
+        }
         violations = [
             violation
             for violation in violations
-            if not _deep_suppressed(violation, line_cache)
+            if not _noqa_suppresses(lines[violation.path], violation)
         ]
     return sorted(violations), graph

@@ -77,27 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="report violations even on '# repro: noqa' lines",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lint files with N worker processes (default: 1)",
-    )
-    parser.add_argument(
         "--deep",
         action="store_true",
         help=(
             "also run the whole-program rules (REPRO101-103): call-graph "
             "purity certification, RNG provenance taint, exception "
             "contract"
-        ),
-    )
-    parser.add_argument(
-        "--graph-cache",
-        metavar="DIR",
-        help=(
-            "cache the pickled call graph in DIR, keyed on a hash of "
-            "all source bytes (only meaningful with --deep)"
         ),
     )
     parser.add_argument(
@@ -188,9 +173,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if options.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
 
     roots = [Path(p) for p in options.paths]
     missing = [str(p) for p in roots if not p.exists()]
@@ -210,23 +192,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ignore=_subset(ignore, file_codes),
             excluded_dirs=frozenset(excluded),
             respect_noqa=not options.no_noqa,
-            jobs=options.jobs,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
     if options.deep:
-        cache_dir = (
-            Path(options.graph_cache) if options.graph_cache else None
-        )
         deep_violations, _graph = check_project(
             roots,
             select=_subset(select, project_codes),
             ignore=_subset(ignore, project_codes),
             excluded_dirs=frozenset(excluded),
             respect_noqa=not options.no_noqa,
-            cache_dir=cache_dir,
         )
         violations = sorted([*violations, *deep_violations])
 

@@ -26,43 +26,42 @@ certified pure:
   (the store/campaign registries declare their cache-entering dispatch
   targets this way).
 
-Everything in the graph is plain picklable data; :func:`load_or_build`
-caches the built graph on disk keyed by a hash of all source bytes, so
-repeated deep lint runs (locally or in CI) skip the parse entirely.
+Call edges follow module-level instances: after ``NAME = Class(...)`` at
+module level, ``NAME.method()`` resolves to ``Class.method``, in that
+module and wherever ``NAME`` is imported.
 
 Like the per-file analyzer, the builder never imports the code it
-checks - it is pure ``ast`` work.
+checks - it is pure ``ast`` work, on the front end it shares with the
+per-file pass (:mod:`repro.lint.analyzer`).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.analyzer import DEFAULT_EXCLUDED_DIRS, iter_python_files
+from repro.lint.analyzer import (
+    DEFAULT_EXCLUDED_DIRS,
+    _dotted,
+    _import_aliases,
+    _registry_runners,
+    iter_python_files,
+)
+from repro.lint.rules import _RNG_FACTORIES, _unseeded_factory_call
 
 __all__ = [
     "ArgBinding",
     "CallSite",
     "Effect",
     "FunctionInfo",
-    "GRAPH_SCHEMA_VERSION",
     "ModuleInfo",
     "ProjectGraph",
     "RaiseSite",
     "RngOp",
     "build_graph",
-    "graph_cache_key",
-    "load_or_build",
 ]
-
-#: Bump when the pickled layout or the extraction semantics change, so
-#: stale on-disk caches are never deserialized into the new analyzer.
-GRAPH_SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------------------
 # Effect classification tables (canonical dotted names, alias-resolved)
@@ -207,16 +206,13 @@ SAMPLING_METHODS = frozenset(
     }
 )
 
-_RNG_FACTORIES = frozenset(
-    {"numpy.random.default_rng", "numpy.random.RandomState"}
-)
 _RNG_CLEAN_SOURCES = frozenset(
     {"repro.rng.resolve_rng", "numpy.random.SeedSequence"}
 )
 
 
 # ---------------------------------------------------------------------------
-# Graph data model (all plain, picklable dataclasses)
+# Graph data model
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Effect:
@@ -320,6 +316,8 @@ class ModuleInfo:
     #: (``from repro.store import ResultStore`` resolves through the
     #: package ``__init__``'s own imports to the defining module).
     import_aliases: Dict[str, str] = field(default_factory=dict)
+    #: Module-level ``NAME = Class(...)`` -> canonical ``Class`` name.
+    instances: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -328,7 +326,6 @@ class ProjectGraph:
 
     modules: Dict[str, ModuleInfo] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    schema_version: int = GRAPH_SCHEMA_VERSION
 
     @property
     def roots(self) -> Tuple[str, ...]:
@@ -396,56 +393,9 @@ def _module_name(path: Path) -> str:
     return ".".join(parts)
 
 
-def _import_aliases(tree: ast.Module) -> Dict[str, str]:
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                local = name.asname or name.name.split(".")[0]
-                target = name.name if name.asname else name.name.split(".")[0]
-                aliases[local] = target
-        elif isinstance(node, ast.ImportFrom):
-            if node.module is None or node.level:
-                continue
-            for name in node.names:
-                local = name.asname or name.name
-                aliases[local] = f"{node.module}.{name.name}"
-    return aliases
-
-
-def _dotted(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
-    """Canonical dotted name of a Name/Attribute chain, alias-resolved."""
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    parts.reverse()
-    head = aliases.get(parts[0], parts[0])
-    return ".".join([head, *parts[1:]])
-
-
 # ---------------------------------------------------------------------------
 # Per-function extraction
 # ---------------------------------------------------------------------------
-def _is_none(node: Optional[ast.expr]) -> bool:
-    return isinstance(node, ast.Constant) and node.value is None
-
-
-def _unseeded_factory(call: ast.Call) -> bool:
-    if not call.args and not call.keywords:
-        return True
-    if call.args and _is_none(call.args[0]):
-        return True
-    return any(
-        keyword.arg == "seed" and _is_none(keyword.value)
-        for keyword in call.keywords
-    )
-
-
 def _arg_bindings(call: ast.Call) -> Tuple[ArgBinding, ...]:
     bindings: List[ArgBinding] = []
     for position, arg in enumerate(call.args):
@@ -466,6 +416,7 @@ class _FunctionExtractor:
         path: str,
         aliases: Dict[str, str],
         module_globals: FrozenSet[str],
+        instances: FrozenSet[str],
         local_functions: FrozenSet[str],
         class_name: Optional[str],
         class_methods: FrozenSet[str],
@@ -474,9 +425,11 @@ class _FunctionExtractor:
         self.path = path
         self.aliases = aliases
         self.module_globals = module_globals
+        self.instances = instances
         self.local_functions = local_functions
         self.class_name = class_name
         self.class_methods = class_methods
+        self.shadowed: FrozenSet[str] = frozenset()
 
     def extract(self, node: ast.AST) -> FunctionInfo:
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -502,7 +455,7 @@ class _FunctionExtractor:
             params=params,
             is_public=not node.name.startswith("_"),
         )
-        shadowed = self._locally_bound_names(node)
+        self.shadowed = self._locally_bound_names(node)
         for inner in ast.walk(node):
             if isinstance(inner, ast.Call):
                 self._record_call(info, inner)
@@ -516,7 +469,7 @@ class _FunctionExtractor:
                     )
                 )
             elif isinstance(inner, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                self._record_assignment(info, inner, shadowed)
+                self._record_assignment(info, inner)
             elif isinstance(inner, ast.Subscript) and isinstance(
                 inner.ctx, ast.Load
             ):
@@ -600,6 +553,10 @@ class _FunctionExtractor:
             self.local_functions
         ):
             return f"{self.module}.{canonical}", True
+        if head in self.instances and head not in self.shadowed:
+            # ``NAME.method()`` on a module-level instance: the link pass
+            # resolves ``module.NAME.method`` through the instance's class.
+            return f"{self.module}.{canonical}", False
         return canonical, False
 
     def _record_call(self, info: FunctionInfo, call: ast.Call) -> None:
@@ -646,22 +603,18 @@ class _FunctionExtractor:
                 root = func.value.id
                 if (
                     root in self.module_globals
-                    and root not in self._current_shadow
+                    and root not in self.shadowed
                 ):
                     effect(
                         "global-write",
                         f"{root}.{func.attr}() mutates module-level state",
                     )
 
-    _current_shadow: FrozenSet[str] = frozenset()
-
     def _record_assignment(
         self,
         info: FunctionInfo,
         node: ast.AST,
-        shadowed: FrozenSet[str],
     ) -> None:
-        self._current_shadow = shadowed
         targets: List[ast.expr]
         value: Optional[ast.expr]
         if isinstance(node, ast.Assign):
@@ -683,7 +636,7 @@ class _FunctionExtractor:
                     canonical is not None
                     and isinstance(root, ast.Name)
                     and root.id in self.aliases
-                    and root.id not in shadowed
+                    and root.id not in self.shadowed
                 ):
                     info.effects.append(
                         Effect(
@@ -708,7 +661,7 @@ class _FunctionExtractor:
                     root_name = target.value.id
                     if (
                         root_name in self.module_globals
-                        and root_name not in shadowed
+                        and root_name not in self.shadowed
                     ):
                         info.effects.append(
                             Effect(
@@ -745,7 +698,7 @@ class _FunctionExtractor:
         if isinstance(value, ast.Call):
             canonical = _dotted(value.func, self.aliases)
             if canonical in _RNG_FACTORIES:
-                if _unseeded_factory(value):
+                if _unseeded_factory_call(value, canonical):
                     return [("taint", f"{canonical}() without a seed")]
                 seed_vars = [
                     arg.id for arg in value.args if isinstance(arg, ast.Name)
@@ -899,47 +852,6 @@ class _FunctionExtractor:
 # ---------------------------------------------------------------------------
 # Registry/root extraction
 # ---------------------------------------------------------------------------
-def _registry_runners(
-    tree: ast.Module, aliases: Dict[str, str], module: str
-) -> List[str]:
-    """Runner qnames from ``Experiment(...)`` constructions.
-
-    ``Experiment("table2", ..., table2.run)`` (positional or ``runner=``
-    keyword) yields ``repro.experiments.table2.run`` after alias
-    resolution; a bare name yields ``<module>.<name>``.
-    """
-    runners: List[str] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        func_name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr
-            if isinstance(func, ast.Attribute)
-            else ""
-        )
-        if func_name != "Experiment":
-            continue
-        runner: Optional[ast.expr] = None
-        if len(node.args) >= 4:
-            runner = node.args[3]
-        for keyword in node.keywords:
-            if keyword.arg == "runner":
-                runner = keyword.value
-        if runner is None:
-            continue
-        canonical = _dotted(runner, aliases)
-        if canonical is None:
-            continue
-        if "." in canonical:
-            runners.append(canonical)
-        else:
-            runners.append(f"{module}.{canonical}")
-    return runners
-
-
 def _declared_roots(tree: ast.Module) -> List[str]:
     """String literals of a top-level ``ANALYSIS_ROOTS`` tuple/list."""
     roots: List[str] = []
@@ -978,22 +890,31 @@ def _collect_module(
         return  # the per-file pass reports REPRO900 for this
     module = _module_name(path)
     aliases = _import_aliases(tree)
+    info = ModuleInfo(name=module, path=str(path), import_aliases=aliases)
     module_globals: Set[str] = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    module_globals.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(
-            node.target, ast.Name
-        ):
-            module_globals.add(node.target.id)
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        module_globals.update(names)
+        if isinstance(node.value, ast.Call):
+            cls = _dotted(node.value.func, aliases)
+            if cls is not None:
+                for name in names:
+                    info.instances[name] = (
+                        cls if "." in cls else f"{module}.{cls}"
+                    )
 
-    info = ModuleInfo(name=module, path=str(path))
-    info.import_aliases = dict(aliases)
     info.declared_roots = _declared_roots(tree)
     if path.name == "registry.py":
-        info.registry_runners = _registry_runners(tree, aliases, module)
+        info.registry_runners = [
+            runner if "." in runner else f"{module}.{runner}"
+            for runner in _registry_runners(tree, aliases)
+        ]
 
     # First pass: enumerate functions/classes so calls can resolve to them.
     local_functions: Set[str] = set()
@@ -1020,39 +941,31 @@ def _collect_module(
             info.class_bases[node.name] = tuple(bases)
 
     frozen_globals = frozenset(module_globals)
+    frozen_instances = frozenset(info.instances)
     frozen_locals = frozenset(local_functions)
+
+    def add_function(node: ast.AST, class_name: Optional[str]) -> None:
+        extractor = _FunctionExtractor(
+            module,
+            str(path),
+            aliases,
+            frozen_globals,
+            frozen_instances,
+            frozen_locals,
+            class_name,
+            frozenset(class_methods.get(class_name or "", ())),
+        )
+        function = extractor.extract(node)
+        graph.functions[function.qname] = function
+        info.functions.append(function.qname)
+
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            extractor = _FunctionExtractor(
-                module,
-                str(path),
-                aliases,
-                frozen_globals,
-                frozen_locals,
-                None,
-                frozenset(),
-            )
-            function = extractor.extract(node)
-            graph.functions[function.qname] = function
-            info.functions.append(function.qname)
+            add_function(node, None)
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if not isinstance(
-                    item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    continue
-                extractor = _FunctionExtractor(
-                    module,
-                    str(path),
-                    aliases,
-                    frozen_globals,
-                    frozen_locals,
-                    node.name,
-                    frozenset(class_methods.get(node.name, set())),
-                )
-                function = extractor.extract(item)
-                graph.functions[function.qname] = function
-                info.functions.append(function.qname)
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    add_function(item, node.name)
     graph.modules[module] = info
 
 
@@ -1066,6 +979,9 @@ def _resolve_project_name(
     import aliases of the longest module prefix (``repro.store.
     ResultStore`` -> the ``repro.store`` package's ``from repro.store.
     store import ResultStore`` -> ``repro.store.store.ResultStore``).
+    A method on a module-level instance follows the instance's class
+    (``pkg.mod._KERNELS.get`` with ``_KERNELS = LazyKernels()`` ->
+    ``LazyKernels.get``).
     """
     if _depth > 8:  # re-export cycles cannot recurse forever
         return None
@@ -1075,15 +991,17 @@ def _resolve_project_name(
         return f"{name}.__init__"
     parts = name.split(".")
     for split in range(len(parts) - 1, 0, -1):
-        prefix = ".".join(parts[:split])
-        if prefix not in graph.modules:
+        module = graph.modules.get(".".join(parts[:split]))
+        if module is None:
             continue
-        rest = parts[split:]
-        alias = graph.modules[prefix].import_aliases.get(rest[0])
-        if alias is None:
+        head, rest = parts[split], parts[split + 1:]
+        target = module.import_aliases.get(head)
+        if target is None and rest:
+            target = module.instances.get(head)
+        if target is None:
             return None
         return _resolve_project_name(
-            graph, ".".join([alias, *rest[1:]]), _depth=_depth + 1
+            graph, ".".join([target, *rest]), _depth=_depth + 1
         )
     return None
 
@@ -1156,75 +1074,3 @@ def build_graph(
         _collect_module(graph, Path(path), path.read_text(encoding="utf-8"))
     _link_graph(graph)
     return graph
-
-
-# ---------------------------------------------------------------------------
-# On-disk cache (keyed on source bytes + schema version)
-# ---------------------------------------------------------------------------
-def graph_cache_key(
-    roots: Sequence[Path],
-    *,
-    excluded_dirs: FrozenSet[str] = DEFAULT_EXCLUDED_DIRS,
-) -> str:
-    """Stable key over every source file's path and content hash."""
-    digest = hashlib.sha256()
-    digest.update(f"schema={GRAPH_SCHEMA_VERSION}".encode())
-    for path in iter_python_files(roots, excluded_dirs=excluded_dirs):
-        digest.update(str(path).encode())
-        digest.update(hashlib.sha256(path.read_bytes()).digest())
-    return digest.hexdigest()[:32]
-
-
-def load_or_build(
-    roots: Sequence[Path],
-    *,
-    cache_dir: Optional[Path] = None,
-    excluded_dirs: FrozenSet[str] = DEFAULT_EXCLUDED_DIRS,
-) -> ProjectGraph:
-    """Return the project graph, via the pickle cache when possible.
-
-    The cache key covers every source byte, so an edit anywhere under
-    ``roots`` rebuilds; a corrupt or schema-mismatched pickle silently
-    rebuilds as well (the cache is an accelerator, never a correctness
-    dependency).
-    """
-    if cache_dir is None:
-        return build_graph(roots, excluded_dirs=excluded_dirs)
-    cache_dir = Path(cache_dir)
-    key = graph_cache_key(roots, excluded_dirs=excluded_dirs)
-    cache_file = cache_dir / f"graph-{key}.pkl"
-    if cache_file.exists():
-        try:
-            with cache_file.open("rb") as handle:
-                cached = pickle.load(handle)
-            if (
-                isinstance(cached, ProjectGraph)
-                and cached.schema_version == GRAPH_SCHEMA_VERSION
-            ):
-                return cached
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            pass
-    graph = build_graph(roots, excluded_dirs=excluded_dirs)
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        scratch = cache_dir / f".graph-{key}.tmp"
-        with scratch.open("wb") as handle:
-            pickle.dump(graph, handle)
-        scratch.replace(cache_file)
-        _prune_cache(cache_dir, keep=5)
-    except OSError:  # pragma: no cover - read-only cache dir
-        pass
-    return graph
-
-
-def _prune_cache(cache_dir: Path, *, keep: int) -> None:
-    entries = sorted(
-        cache_dir.glob("graph-*.pkl"),
-        key=lambda p: p.stat().st_mtime,
-        reverse=True,
-    )
-    for stale in entries[keep:]:
-        try:
-            stale.unlink()
-        except OSError:  # pragma: no cover - concurrent prune
-            pass

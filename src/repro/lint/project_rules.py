@@ -81,6 +81,14 @@ SANCTIONED_PURITY_BOUNDARIES: FrozenSet[str] = frozenset(
         "repro.contracts.",
         # The one sanctioned seed fallback: deterministic by definition.
         "repro.rng.resolve_rng",
+        # Building and loading the simulator kernel's compiled replay
+        # reads REPRO_CC and the cache location, runs the compiler and
+        # writes and prunes its cache.  The replay is chosen by
+        # observation (a compiler, a safe cache, a build that loads),
+        # never by a parameter of the run, and TestNumpyCompiled in
+        # tests/unit/test_backends.py checks it bit-identical to the
+        # numpy loop, so no cached result depends on the outcome.
+        "repro.backends.cnative_backend.load_kernels",
     }
 )
 

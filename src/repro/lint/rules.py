@@ -158,16 +158,19 @@ _GLOBAL_STATE_FUNCS = frozenset(
 )
 
 
+#: Generator constructors whose missing seed means OS entropy.
+_RNG_FACTORIES = frozenset(
+    {"numpy.random.default_rng", "numpy.random.RandomState"}
+)
+
+
 def _is_none(node: Optional[ast.expr]) -> bool:
     return isinstance(node, ast.Constant) and node.value is None
 
 
 def _unseeded_factory_call(call: ast.Call, canonical: str) -> bool:
     """``default_rng``/``RandomState`` called without a concrete seed."""
-    if canonical not in (
-        "numpy.random.default_rng",
-        "numpy.random.RandomState",
-    ):
+    if canonical not in _RNG_FACTORIES:
         return False
     if not call.args and not call.keywords:
         return True
@@ -275,21 +278,13 @@ class RngFallbackRule(LintRule):
 class FloatEqualityRule(LintRule):
     """REPRO003: tolerate floating point; never ``==`` it.
 
-    Modules listed in :attr:`EXEMPT_PATH_SUFFIXES` are skipped entirely.
-    The batched fixed-point solver legitimately compares against exact
-    ``0.0``: its Anderson-acceleration step guards a division with
-    ``den == 0.0`` masks, where the denominator is a sum of squares that
-    is *identically* zero (not merely small) when the iterate has
-    stalled.  A tolerance there would misclassify genuinely tiny - but
-    valid - secant denominators and disable the acceleration.
+    A deliberate exact comparison (such as the Anderson step's
+    ``den == 0.0`` guards in :mod:`repro.bianchi.meanfield`) carries a
+    per-line ``# repro: noqa=REPRO003``.
     """
 
     code = "REPRO003"
     summary = "float equality comparison (use math.isclose or a tolerance)"
-
-    #: Path suffixes (``/``-normalised) whose modules may compare floats
-    #: exactly; see the class docstring for the rationale per entry.
-    EXEMPT_PATH_SUFFIXES = ("bianchi/batched.py",)
 
     _HINT = re.compile(
         r"(^|_)(tau|prob|probabilit|utilit|payoff|welfare|residual)"
@@ -297,10 +292,6 @@ class FloatEqualityRule(LintRule):
     _TOLERANT_CALLS = frozenset(
         {"approx", "isclose", "allclose", "assert_allclose"}
     )
-
-    def _is_exempt(self, context: "ModuleContext") -> bool:
-        path = str(context.path).replace("\\", "/")
-        return path.endswith(self.EXEMPT_PATH_SUFFIXES)
 
     def _is_tolerant_call(self, node: ast.expr) -> bool:
         if not isinstance(node, ast.Call):
@@ -334,8 +325,6 @@ class FloatEqualityRule(LintRule):
     def check_module(
         self, context: "ModuleContext"
     ) -> Iterator["Violation"]:
-        if self._is_exempt(context):
-            return
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.Compare):
                 continue

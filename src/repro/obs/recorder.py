@@ -47,36 +47,15 @@ class Recorder:
     """
 
     enabled: bool = False
+    _next_id: int = 0
 
     def record(self, event: Event) -> None:
         """Receive one event (no-op in the base class)."""
 
     def next_span_id(self) -> int:
         """Allocate a recorder-local span id (0 when disabled)."""
-        return 0
-
-
-class NullRecorder(Recorder):
-    """The default do-nothing recorder."""
-
-
-#: Shared singleton installed when no recorder is active.
-NULL_RECORDER = NullRecorder()
-
-
-class MemoryRecorder(Recorder):
-    """Collects events in memory (the backend behind run profiles)."""
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.events: List[Event] = []
-        self._next_id = 0
-
-    def record(self, event: Event) -> None:
-        self.events.append(event)
-
-    def next_span_id(self) -> int:
+        if not self.enabled:
+            return 0
         self._next_id += 1
         return self._next_id
 
@@ -86,7 +65,7 @@ class MemoryRecorder(Recorder):
         *,
         parent_id: Optional[int] = None,
     ) -> None:
-        """Merge a batch of events recorded elsewhere (e.g. a worker).
+        """Record a batch of events recorded elsewhere (e.g. a worker).
 
         Span ids are remapped past this recorder's counter so batches
         from several workers never collide; root spans of the batch
@@ -107,8 +86,28 @@ class MemoryRecorder(Recorder):
                     event["parent_id"] = parent + offset
                 else:
                     event["parent_id"] = parent_id
-            self.events.append(event)
+            self.record(event)
         self._next_id = highest
+
+
+class NullRecorder(Recorder):
+    """The default do-nothing recorder."""
+
+
+#: Shared singleton installed when no recorder is active.
+NULL_RECORDER = NullRecorder()
+
+
+class MemoryRecorder(Recorder):
+    """Collects events in memory (the backend behind run profiles)."""
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self.events: List[Event] = []
+
+    def record(self, event: Event) -> None:
+        self.events.append(event)
 
 
 class JsonlRecorder(Recorder):
@@ -125,16 +124,11 @@ class JsonlRecorder(Recorder):
     def __init__(self, handle: IO[str], *, autoflush: bool = False) -> None:
         self._handle = handle
         self._autoflush = autoflush
-        self._next_id = 0
 
     def record(self, event: Event) -> None:
         self._handle.write(event_to_line(event) + "\n")
         if self._autoflush:
             self._handle.flush()
-
-    def next_span_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
 
 
 _recorder_var: ContextVar[Recorder] = ContextVar(

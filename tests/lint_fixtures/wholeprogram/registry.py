@@ -1,11 +1,13 @@
 """Fixture: a miniature experiment registry.
 
 The analyzer extracts ``Experiment(...)`` runner arguments from any
-``registry.py`` statically, so ``cached_runner.run`` becomes a
-cache-entering analysis root without this file ever being imported.
+``registry.py`` statically, so ``cached_runner.run`` and
+``instance_runner.run`` become cache-entering analysis roots without
+this file ever being imported.
 """
 
 import cached_runner
+import instance_runner
 
 
 class Experiment:
@@ -22,5 +24,11 @@ EXPERIMENTS = (
         "Cached sweep",
         "A runner whose results enter the content-addressed cache.",
         cached_runner.run,
+    ),
+    Experiment(
+        "instance",
+        "Instance sweep",
+        "A runner that reaches the clock through a module-level instance.",
+        instance_runner.run,
     ),
 )

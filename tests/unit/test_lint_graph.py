@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-import pickle
 import textwrap
 from pathlib import Path
 
-from repro.lint.graph import (
-    GRAPH_SCHEMA_VERSION,
-    build_graph,
-    graph_cache_key,
-    load_or_build,
-)
+from repro.lint.graph import build_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "lint_fixtures"
 WHOLEPROGRAM = FIXTURES / "wholeprogram"
@@ -142,6 +136,91 @@ class TestGraphConstruction:
         calls = graph.callees("shadow.driver")
         assert not any(c.callee == "shadow.worker" for c in calls)
 
+    def test_method_on_module_level_instance_resolves(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/clock.py": """
+                    class Clock:
+                        def now(self):
+                            return 0.0
+                """,
+                "pkg/user.py": """
+                    from pkg.clock import Clock
+
+                    _CLOCK = Clock()
+
+                    def caller():
+                        return _CLOCK.now()
+                """,
+            },
+        )
+        graph = build_graph([tmp_path])
+        assert graph.modules["pkg.user"].instances == {
+            "_CLOCK": "pkg.clock.Clock"
+        }
+        calls = graph.callees("pkg.user.caller")
+        assert any(
+            c.resolved and c.callee == "pkg.clock.Clock.now" for c in calls
+        )
+
+    def test_imported_instance_resolves_through_its_module(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/clock.py": """
+                    class Clock:
+                        def now(self):
+                            return 0.0
+
+                    CLOCK = Clock()
+                """,
+                "pkg/user.py": """
+                    from pkg.clock import CLOCK
+
+                    def caller():
+                        return CLOCK.now()
+
+                    def passes_it_on(fn):
+                        return fn(CLOCK)
+                """,
+            },
+        )
+        graph = build_graph([tmp_path])
+        calls = graph.callees("pkg.user.caller")
+        assert any(
+            c.resolved and c.callee == "pkg.clock.Clock.now" for c in calls
+        )
+        # Passing the instance along is not a call of its class.
+        passed = graph.callees("pkg.user.passes_it_on")
+        assert not any(c.callee.startswith("pkg.clock.Clock") for c in passed)
+
+    def test_local_shadowing_an_instance_does_not_resolve(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "solo.py": """
+                    class Clock:
+                        def now(self):
+                            return 0.0
+
+                    _CLOCK = Clock()
+
+                    def caller(_CLOCK):
+                        return _CLOCK.now()
+
+                    def rebinds(other):
+                        _CLOCK = other
+                        return _CLOCK.now()
+                """,
+            },
+        )
+        graph = build_graph([tmp_path])
+        for qname in ("solo.caller", "solo.rebinds"):
+            assert not any(c.resolved for c in graph.callees(qname)), qname
+
 
 class TestEffectExtraction:
     def _effects(self, tmp_path, body):
@@ -264,7 +343,7 @@ class TestEffectExtraction:
 class TestRoots:
     def test_registry_runners_become_roots(self):
         graph = build_graph([WHOLEPROGRAM])
-        assert "cached_runner.run" in graph.roots
+        assert {"cached_runner.run", "instance_runner.run"} <= set(graph.roots)
 
     def test_declared_analysis_roots(self, tmp_path):
         write_tree(
@@ -333,45 +412,3 @@ class TestRoots:
         assert "errors.StoreError" in approved
         assert "errors.IntegrityError" in approved
         assert "errors.Unrelated" not in approved
-
-
-class TestGraphCache:
-    def test_load_or_build_round_trip(self, tmp_path):
-        tree = tmp_path / "tree"
-        write_tree(
-            tree,
-            {"mod.py": "def f():\n    return 1\n"},
-        )
-        cache = tmp_path / "cache"
-        first = load_or_build([tree], cache_dir=cache)
-        assert list(cache.glob("graph-*.pkl"))
-        second = load_or_build([tree], cache_dir=cache)
-        assert sorted(second.functions) == sorted(first.functions)
-
-    def test_cache_key_changes_with_source(self, tmp_path):
-        tree = tmp_path / "tree"
-        write_tree(tree, {"mod.py": "def f():\n    return 1\n"})
-        key_before = graph_cache_key([tree])
-        (tree / "mod.py").write_text("def f():\n    return 2\n")
-        assert graph_cache_key([tree]) != key_before
-
-    def test_corrupt_cache_rebuilds_silently(self, tmp_path):
-        tree = tmp_path / "tree"
-        write_tree(tree, {"mod.py": "def f():\n    return 1\n"})
-        cache = tmp_path / "cache"
-        load_or_build([tree], cache_dir=cache)
-        for entry in cache.glob("graph-*.pkl"):
-            entry.write_bytes(b"not a pickle")
-        graph = load_or_build([tree], cache_dir=cache)
-        assert "mod.f" in graph.functions
-
-    def test_stale_schema_rebuilds(self, tmp_path):
-        tree = tmp_path / "tree"
-        write_tree(tree, {"mod.py": "def f():\n    return 1\n"})
-        cache = tmp_path / "cache"
-        graph = load_or_build([tree], cache_dir=cache)
-        graph.schema_version = GRAPH_SCHEMA_VERSION - 1
-        for entry in cache.glob("graph-*.pkl"):
-            entry.write_bytes(pickle.dumps(graph))
-        rebuilt = load_or_build([tree], cache_dir=cache)
-        assert rebuilt.schema_version == GRAPH_SCHEMA_VERSION

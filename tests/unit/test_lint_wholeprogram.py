@@ -55,6 +55,20 @@ class TestPurityRule:
             "cached_runner._stamp" in finding.message
         )
 
+    def test_time_read_behind_module_level_instance(self, fixture_report):
+        violations, _ = fixture_report
+        purity = [
+            v
+            for v in violations
+            if v.rule == "REPRO101" and v.path.endswith("instance_runner.py")
+        ]
+        assert len(purity) == 1
+        assert "time.time()" in purity[0].message
+        assert (
+            "call chain: instance_runner.run -> instance_runner._stamp -> "
+            "instance_runner.Clock.now." in purity[0].message
+        )
+
     def test_chain_is_shortest_path(self, tmp_path):
         # Two routes to the impure callee; the report must take the
         # direct one, not the detour.
@@ -313,27 +327,6 @@ class TestRegistry:
         existing = PROJECT_RULE_REGISTRY["REPRO101"]
         with pytest.raises(LintError):
             register_project_rule(existing)
-
-
-class TestParallelJobs:
-    def test_parallel_lint_matches_serial(self):
-        from repro.lint.analyzer import check_paths
-
-        serial, files_serial = check_paths([FIXTURES])
-        parallel, files_parallel = check_paths([FIXTURES], jobs=4)
-        assert files_parallel == files_serial
-        assert parallel == serial
-
-    def test_single_file_stays_serial(self, tmp_path):
-        from repro.lint.analyzer import check_paths
-
-        target = tmp_path / "mod.py"
-        target.write_text(
-            "import numpy as np\nrng = np.random.default_rng()\n"
-        )
-        violations, files_checked = check_paths([target], jobs=8)
-        assert files_checked == 1
-        assert [v.rule for v in violations] == ["REPRO001"]
 
 
 class TestDeepNoqa:

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.bianchi.fixedpoint import solve_symmetric
 from repro.cli import main
 from repro.errors import ParameterError, StoreError
 from repro.experiments import run_experiment
+from repro.experiments.parallel import parallel_map
 from repro.store import ResultStore
 
 
@@ -61,6 +63,49 @@ def test_jsonl_recorder_streams_lines() -> None:
         "span_end",
     ]
     assert lines[0]["value"] == 2
+
+
+def _spanned_task(value: int) -> int:
+    with obs.span("task", value=value):
+        obs.inc("task.calls")
+        return value * 2
+
+
+def _without_timings(events: list) -> list:
+    return [
+        {k: v for k, v in event.items() if k not in ("t_mono", "duration_s")}
+        for event in events
+    ]
+
+
+def test_jsonl_recorder_merges_worker_events() -> None:
+    memory = obs.MemoryRecorder()
+    with obs.use_recorder(memory):
+        parallel_map(_spanned_task, [1, 2, 3])
+    handle = io.StringIO()
+    with obs.use_recorder(obs.JsonlRecorder(handle)):
+        assert parallel_map(_spanned_task, [1, 2, 3]) == [2, 4, 6]
+    streamed = obs.jsonl_to_events(handle.getvalue())
+    obs.validate_span_events(streamed)
+    assert _without_timings(streamed) == _without_timings(memory.events)
+    starts = [event for event in streamed if event["type"] == "span_start"]
+    (mapped,) = [event for event in starts if event["name"] == "parallel.map"]
+    tasks = [event for event in starts if event["name"] == "task"]
+    assert [task["parent_id"] for task in tasks] == [mapped["span_id"]] * 3
+    assert len({task["span_id"] for task in tasks}) == 3
+
+
+def test_fig3_streams_under_jsonl_recorder() -> None:
+    memory = obs.MemoryRecorder()
+    with obs.use_recorder(memory):
+        run_experiment("fig3", sizes=(3,), n_points=10)
+    handle = io.StringIO()
+    with obs.use_recorder(obs.JsonlRecorder(handle)):
+        run_experiment("fig3", sizes=(3,), n_points=10)
+    streamed = obs.jsonl_to_events(handle.getvalue())
+    obs.validate_span_events(streamed)
+    assert _without_timings(streamed) == _without_timings(memory.events)
+    assert obs.build_profile(streamed)["counters"]["parallel.tasks"] > 0
 
 
 def test_ingest_remaps_span_ids_and_reparents() -> None:
@@ -235,6 +280,20 @@ def test_profile_digest_identical_across_jobs() -> None:
     # The deterministic sections are byte-identical, not just same-hash.
     for section in ("counters", "histograms"):
         assert serial[section] == pooled[section]
+
+
+def test_symmetric_memo_hits_profile_like_misses() -> None:
+    # The second call is a memo hit; it must record the same events.
+    profiles = []
+    for _ in range(2):
+        recorder = obs.MemoryRecorder()
+        with obs.use_recorder(recorder):
+            solve_symmetric(41.5, 7, 5)
+        profiles.append(obs.build_profile(recorder.events))
+    assert profiles[0]["counters"]["bianchi.solves|kind=symmetric-grid"] == 1
+    assert profiles[0]["digest"] == profiles[1]["digest"], obs.diff_profiles(
+        profiles[0], profiles[1]
+    ).render()
 
 
 def test_solver_and_sim_counters_present() -> None:
